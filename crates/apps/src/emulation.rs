@@ -19,8 +19,8 @@
 //!   is equally fast, the gates degenerate, verdict [`Platform::Emulated`].
 
 use uwm_core::error::Result;
-use uwm_core::gate::tsx::TsxAssign;
-use uwm_core::gate::GateSpec;
+use uwm_core::gate::tsx::TsxGate;
+use uwm_core::gate::{GateKind, GateSpec, WeirdGate};
 use uwm_core::layout::Layout;
 use uwm_core::substrate::{FlatEmulator, Substrate};
 use uwm_sim::machine::{Machine, MachineConfig};
@@ -45,8 +45,8 @@ pub enum Platform {
 /// # Errors
 ///
 /// Fails if gate construction exhausts the layout.
-pub fn probe_spec(lay: &mut Layout) -> Result<GateSpec<TsxAssign>> {
-    TsxAssign::spec(lay)
+pub fn probe_spec(lay: &mut Layout) -> Result<GateSpec<TsxGate>> {
+    TsxGate::spec(GateKind::TxAssign, lay)
 }
 
 /// Runs a probe gate instance on `s` and classifies the platform.
@@ -54,19 +54,23 @@ pub fn probe_spec(lay: &mut Layout) -> Result<GateSpec<TsxAssign>> {
 /// The probe must exercise *both* logic levels: a flat emulator with
 /// constant load latency reads every weird register as the same value, so
 /// it fails on one of the two (it cannot fail on neither).
-pub fn classify(s: &mut dyn Substrate, gate: &TsxAssign) -> Platform {
+///
+/// # Errors
+///
+/// Fails if `gate` does not take exactly one input.
+pub fn classify(s: &mut dyn Substrate, gate: &TsxGate) -> Result<Platform> {
     let mut correct = 0usize;
     for round in 0..PROBE_ROUNDS {
         let bit = round % 2 == 0;
-        if gate.execute(s, bit) == bit {
+        if gate.execute(s, &[bit])? == bit {
             correct += 1;
         }
     }
-    if correct * 4 >= PROBE_ROUNDS * 3 {
+    Ok(if correct * 4 >= PROBE_ROUNDS * 3 {
         Platform::RealHardware
     } else {
         Platform::Emulated
-    }
+    })
 }
 
 /// Runs the μWM emulation probe on any substrate: builds the probe spec,
@@ -78,7 +82,7 @@ pub fn classify(s: &mut dyn Substrate, gate: &TsxAssign) -> Platform {
 /// Fails if gate construction exhausts the layout.
 pub fn probe(s: &mut dyn Substrate, lay: &mut Layout) -> Result<Platform> {
     let gate = probe_spec(lay)?.instantiate(s);
-    Ok(classify(s, &gate))
+    classify(s, &gate)
 }
 
 /// Convenience: builds a machine from `cfg` and probes it.
@@ -109,7 +113,7 @@ pub fn probe_both(seed: u64) -> Result<(Platform, Platform)> {
         let gate = spec.instantiate(s);
         classify(s, &gate)
     };
-    Ok((run(&mut m), run(&mut flat)))
+    Ok((run(&mut m)?, run(&mut flat)?))
 }
 
 /// A computation that only reveals its result on real hardware: returns

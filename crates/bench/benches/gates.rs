@@ -5,27 +5,16 @@
 //! Run with: `cargo bench -p uwm-bench --bench gates`
 
 use uwm_bench::harness::bench;
+use uwm_core::gate::GateKind;
 use uwm_core::skelly::Skelly;
 
 fn main() {
     println!("gate_execution: single voted execution per iteration\n");
-    for gate in [
-        "AND",
-        "OR",
-        "NAND",
-        "AND_AND_OR",
-        "TSX_ASSIGN",
-        "TSX_AND",
-        "TSX_OR",
-        "TSX_AND_OR",
-        "TSX_NOT",
-        "TSX_XOR",
-    ] {
+    for kind in GateKind::ALL {
         let mut sk = Skelly::noisy(1).expect("skelly builds");
-        let arity = sk.arity_named(gate);
-        let inputs = vec![true; arity];
-        bench(&format!("gate_execution/{gate}"), || {
-            sk.execute_named(gate, &inputs).expect("arity");
+        let inputs = vec![true; kind.arity()];
+        bench(&format!("gate_execution/{}", kind.name()), || {
+            sk.execute_timed(kind, &inputs).expect("arity");
         });
     }
 }

@@ -6,17 +6,18 @@
 
 use uwm_bench::json::Json;
 use uwm_bench::{delay_histogram, maybe_write_json, parse_args, scaled, sharded_delays};
-use uwm_core::gate::READ_THRESHOLD;
+use uwm_core::gate::{GateKind, READ_THRESHOLD};
 use uwm_rng::Rng;
 
 fn main() {
     let args = parse_args();
     let samples = scaled(20_000, args.scale);
     let mut figures = Vec::new();
-    for (fig, gate) in [("Figure 7", "AND"), ("Figure 8", "OR")] {
+    for (fig, kind) in [("Figure 7", GateKind::And), ("Figure 8", GateKind::Or)] {
+        let gate = kind.name();
         let delays = sharded_delays(samples, 0xF7, args.shards, |sk, rng| {
             let inputs = [rng.gen::<bool>(), rng.gen::<bool>()];
-            sk.execute_named(gate, &inputs).expect("arity").delay
+            sk.execute_timed(kind, &inputs).expect("arity").delay
         });
         println!("{fig}: bp/icache {gate} gate — measured timing distribution");
         println!(

@@ -37,6 +37,7 @@ use uwm_bench::{gate_performance_sharded, maybe_write_json, parse_args, scaled};
 use uwm_core::batch::BatchRunner;
 use uwm_core::circuit::{adder32_inputs, adder32_spec, CircuitSpec};
 use uwm_core::exec::{batch_seed, ShardedExecutor};
+use uwm_core::gate::GateKind;
 use uwm_core::layout::Layout;
 use uwm_core::skelly::Skelly;
 use uwm_core::substrate::DEFAULT_ALIAS_STRIDE;
@@ -92,16 +93,16 @@ impl Workload {
     }
 }
 
-/// Measures one of the named single-gate workloads on a fresh
-/// default-noise skelly.
-fn gate_workload(name: &'static str, gate: &str, seed: u64, count_ops: u64) -> Workload {
+/// Measures one of the single-gate workloads on a fresh default-noise
+/// skelly.
+fn gate_workload(name: &'static str, kind: GateKind, seed: u64, count_ops: u64) -> Workload {
     let mut sk = Skelly::noisy(seed).expect("skelly builds");
 
     // Counted pass: committed instructions per gate evaluation.
     let before = sk.machine().stats().committed_insts;
     for i in 0..count_ops {
         let inputs = &INPUTS2[i as usize % INPUTS2.len()];
-        sk.execute_named(gate, inputs).expect("arity matches");
+        sk.execute_timed(kind, inputs).expect("arity matches");
     }
     let insts_per_op = (sk.machine().stats().committed_insts - before) as f64 / count_ops as f64;
 
@@ -110,7 +111,7 @@ fn gate_workload(name: &'static str, gate: &str, seed: u64, count_ops: u64) -> W
     let m = harness::bench(&format!("hotpath/{name}"), || {
         let inputs = &INPUTS2[i % INPUTS2.len()];
         i += 1;
-        sk.execute_named(gate, inputs).expect("arity matches");
+        sk.execute_timed(kind, inputs).expect("arity matches");
     });
 
     Workload {
@@ -310,8 +311,13 @@ fn main() {
 
     let circuit = adder_circuit();
     let workloads = [
-        gate_workload("bp_and", "AND", seed, scaled(256, args.scale)),
-        gate_workload("tsx_xor", "TSX_XOR", seed + 1, scaled(256, args.scale)),
+        gate_workload("bp_and", GateKind::And, seed, scaled(256, args.scale)),
+        gate_workload(
+            "tsx_xor",
+            GateKind::TxXor,
+            seed + 1,
+            scaled(256, args.scale),
+        ),
         adder_workload(seed + 2, scaled(8, args.scale)),
         adder32_serial_workload(&circuit, seed + 4, scaled(4, args.scale)),
         adder32_batch_workload(&circuit, seed + 5, args.shards, scaled(256, args.scale)),
@@ -328,7 +334,7 @@ fn main() {
 
     // A sharded AND run exercises the per-shard scratch reuse path.
     let sharded_ops = scaled(16 * uwm_bench::GATE_BATCH_OPS, args.scale);
-    let sharded = gate_performance_sharded("AND", sharded_ops, seed + 3, args.shards);
+    let sharded = gate_performance_sharded(GateKind::And, sharded_ops, seed + 3, args.shards);
 
     println!();
     println!(

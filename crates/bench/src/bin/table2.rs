@@ -5,6 +5,7 @@
 
 use uwm_bench::json::Json;
 use uwm_bench::{gate_performance_sharded, maybe_write_json, parse_args, scaled};
+use uwm_core::gate::GateKind;
 
 fn main() {
     let args = parse_args();
@@ -19,20 +20,21 @@ fn main() {
         "Weird Gate", "Iterations", "Exec Time(s)", "Executions/Sec", "SimCyc/Op", "Accuracy"
     );
     let mut rows = Vec::new();
-    for (i, gate) in [
-        "AND",
-        "OR",
-        "NAND",
-        "AND_AND_OR",
-        "TSX_AND",
-        "TSX_OR",
-        "TSX_ASSIGN",
-        "TSX_XOR",
+    for (i, kind) in [
+        GateKind::And,
+        GateKind::Or,
+        GateKind::Nand,
+        GateKind::AndAndOr,
+        GateKind::TxAnd,
+        GateKind::TxOr,
+        GateKind::TxAssign,
+        GateKind::TxXor,
     ]
     .into_iter()
     .enumerate()
     {
-        let r = gate_performance_sharded(gate, ops, 0x72 + i as u64, args.shards);
+        let gate = kind.name();
+        let r = gate_performance_sharded(kind, ops, 0x72 + i as u64, args.shards);
         println!(
             "{gate:<12} {:>10} {:>12.3} {:>16.0} {:>12.0} {:>9.4}%",
             r.run.ops,

@@ -5,6 +5,7 @@
 
 use uwm_bench::json::Json;
 use uwm_bench::{gate_performance_sharded, maybe_write_json, parse_args, scaled};
+use uwm_core::gate::GateKind;
 
 fn main() {
     let args = parse_args();
@@ -19,8 +20,9 @@ fn main() {
         "Gate", "Operations", "Correct", "Mean Accuracy"
     );
     let mut rows = Vec::new();
-    for (i, gate) in ["AND", "OR"].into_iter().enumerate() {
-        let r = gate_performance_sharded(gate, ops, 0x75 + i as u64, args.shards);
+    for (i, kind) in [GateKind::And, GateKind::Or].into_iter().enumerate() {
+        let gate = kind.name();
+        let r = gate_performance_sharded(kind, ops, 0x75 + i as u64, args.shards);
         println!(
             "{gate:<6} {:>10} {:>10} {:>14.8}",
             r.run.ops,

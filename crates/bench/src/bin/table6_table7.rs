@@ -8,6 +8,7 @@ use uwm_bench::stats::Summary;
 use uwm_bench::{
     maybe_write_json, parse_args, scaled, sharded_delays, summary_header, summary_row,
 };
+use uwm_core::gate::GateKind;
 
 const COMBOS: [(bool, bool); 4] = [(false, false), (false, true), (true, false), (true, true)];
 
@@ -43,7 +44,8 @@ fn main() {
         let label = format!("AND ({},{})", a as u8, b as u8);
         measure("table6", label, 0x67 + i as u64, &move |sk| {
             let gate = sk.tsx_and_or_gate();
-            gate.execute_readings(sk.machine_mut(), a, b).0.delay
+            let readings = gate.execute_readings(sk.machine_mut(), &[a, b]);
+            readings.expect("arity")[0].delay
         });
     }
     // …and the OR output.
@@ -51,7 +53,8 @@ fn main() {
         let label = format!("OR  ({},{})", a as u8, b as u8);
         measure("table6", label, 0x6B + i as u64, &move |sk| {
             let gate = sk.tsx_and_or_gate();
-            gate.execute_readings(sk.machine_mut(), a, b).1.delay
+            let readings = gate.execute_readings(sk.machine_mut(), &[a, b]);
+            readings.expect("arity")[1].delay
         });
     }
 
@@ -63,7 +66,9 @@ fn main() {
     for (i, (a, b)) in COMBOS.into_iter().enumerate() {
         let label = format!("({},{})", a as u8, b as u8);
         measure("table7", label, 0x70 + i as u64, &move |sk| {
-            sk.execute_named("TSX_XOR", &[a, b]).expect("arity").delay
+            sk.execute_timed(GateKind::TxXor, &[a, b])
+                .expect("arity")
+                .delay
         });
     }
 

@@ -5,6 +5,7 @@
 
 use uwm_bench::json::Json;
 use uwm_bench::{gate_performance_sharded, maybe_write_json, parse_args, scaled};
+use uwm_core::gate::GateKind;
 
 fn main() {
     let args = parse_args();
@@ -18,16 +19,16 @@ fn main() {
         "Gate", "Correct Ops", "TSX Aborts", "Total Ops", "Mean Accuracy"
     );
     let mut rows = Vec::new();
-    for (i, (label, gate)) in [
-        ("AND", "TSX_AND"),
-        ("OR", "TSX_OR"),
-        ("AND-OR", "TSX_AND_OR"),
-        ("XOR", "TSX_XOR"),
+    for (i, (label, kind)) in [
+        ("AND", GateKind::TxAnd),
+        ("OR", GateKind::TxOr),
+        ("AND-OR", GateKind::TxAndOr),
+        ("XOR", GateKind::TxXor),
     ]
     .into_iter()
     .enumerate()
     {
-        let r = gate_performance_sharded(gate, ops, 0x78 + i as u64, args.shards);
+        let r = gate_performance_sharded(kind, ops, 0x78 + i as u64, args.shards);
         println!(
             "{label:<8} {:>12} {:>12} {:>10} {:>14.5}",
             r.run.correct,
@@ -35,7 +36,7 @@ fn main() {
             r.run.ops,
             r.run.accuracy()
         );
-        rows.push(r.report_row(gate));
+        rows.push(r.report_row(kind.name()));
     }
     maybe_write_json(
         &args,

@@ -7,13 +7,13 @@
 //!
 //! | Experiment | Runner | Binary |
 //! |---|---|---|
-//! | Table 2 (gate perf + accuracy)     | [`gate_performance`]      | `table2` |
+//! | Table 2 (gate perf + accuracy)     | [`gate_performance_sharded`] | `table2` |
 //! | Table 3 + Fig 6 (trigger pings)    | [`trigger_distribution`]  | `table3_fig6` |
 //! | Table 4 (SHA-1 gate correctness)   | [`sha1_experiment`]       | `table4` |
-//! | Table 5 (BP/IC gate accuracy)      | [`gate_accuracy`]         | `table5` |
+//! | Table 5 (BP/IC gate accuracy)      | [`gate_performance_sharded`] | `table5` |
 //! | Figures 7–8 (timing KDEs)          | [`delay_histogram`]       | `fig7_fig8` |
-//! | Tables 6–7 (TSX read delays)       | [`delay_by_input`]        | `table6_table7` |
-//! | Table 8 (TSX accuracy + aborts)    | [`tsx_accuracy`]          | `table8` |
+//! | Tables 6–7 (TSX read delays)       | [`sharded_delays`]        | `table6_table7` |
+//! | Table 8 (TSX accuracy + aborts)    | [`gate_performance_sharded`] | `table8` |
 //!
 //! Every binary accepts `--shards N` (fan hermetic trial batches across
 //! `N` OS threads; results are deterministic per seed regardless of `N`)
@@ -40,6 +40,7 @@ use stats::Summary;
 use uwm_apps::wm_apt::{Payload, WmApt};
 use uwm_apps::UwmSha1;
 use uwm_core::exec::{batch_seed, ShardedExecutor};
+use uwm_core::gate::GateKind;
 use uwm_core::skelly::{CounterBank, GateCounters, Redundancy, Skelly, SkellySpec};
 use uwm_crypto::sha1;
 use uwm_sim::machine::MachineConfig;
@@ -196,11 +197,11 @@ impl GateRun {
     }
 }
 
-/// Executes `gate` (by table name) `ops` times with random inputs on a
-/// default-noise machine and reports accuracy + throughput. This is the
-/// Table 2 / Table 5 / Table 8 measurement core.
-pub fn gate_run(sk: &mut Skelly, name: &str, ops: u64, seed: u64) -> GateRun {
-    let arity = sk.arity_named(name);
+/// Executes the `kind` gate `ops` times with random inputs and reports
+/// accuracy + throughput. This is the Table 2 / Table 5 / Table 8
+/// measurement core.
+pub fn gate_run(sk: &mut Skelly, kind: GateKind, ops: u64, seed: u64) -> GateRun {
+    let arity = kind.arity();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut correct = 0u64;
     let aborts_before = sk.machine().stats().tx_spurious_aborts;
@@ -211,8 +212,8 @@ pub fn gate_run(sk: &mut Skelly, name: &str, ops: u64, seed: u64) -> GateRun {
         for b in &mut inputs {
             *b = rng.gen();
         }
-        let r = sk.execute_named(name, &inputs).expect("arity matches");
-        if r.bit == sk.truth_named(name, &inputs) {
+        let r = sk.execute_timed(kind, &inputs).expect("arity matches");
+        if r.bit == kind.truth(&inputs) {
             correct += 1;
         }
     }
@@ -226,9 +227,9 @@ pub fn gate_run(sk: &mut Skelly, name: &str, ops: u64, seed: u64) -> GateRun {
 }
 
 /// [`gate_run`] on a fresh default-noise machine.
-pub fn gate_performance(name: &str, ops: u64, seed: u64) -> GateRun {
+pub fn gate_performance(kind: GateKind, ops: u64, seed: u64) -> GateRun {
     let mut sk = Skelly::noisy(seed).expect("skelly builds");
-    gate_run(&mut sk, name, ops, seed ^ 0xBEEF)
+    gate_run(&mut sk, kind, ops, seed ^ 0xBEEF)
 }
 
 /// Operations per hermetic batch in the sharded runners. Fixed, so the
@@ -278,8 +279,13 @@ struct GateBatch {
 /// [`gate_performance`] fanned across `shards` threads: one machine-free
 /// [`SkellySpec`] instantiated per hermetic batch of [`GATE_BATCH_OPS`]
 /// operations. Merged counts and delay statistics are deterministic per
-/// `(name, ops, seed)` for every shard count.
-pub fn gate_performance_sharded(name: &str, ops: u64, seed: u64, shards: usize) -> ShardedGateRun {
+/// `(kind, ops, seed)` for every shard count.
+pub fn gate_performance_sharded(
+    kind: GateKind,
+    ops: u64,
+    seed: u64,
+    shards: usize,
+) -> ShardedGateRun {
     let spec = SkellySpec::new().expect("spec builds");
     let exec = ShardedExecutor::new(shards);
     let batches = ops.div_ceil(GATE_BATCH_OPS).max(1) as usize;
@@ -291,9 +297,8 @@ pub fn gate_performance_sharded(name: &str, ops: u64, seed: u64, shards: usize) 
         let batch_ops = GATE_BATCH_OPS.min(ops - done);
         let mut sk = spec.instantiate(MachineConfig::default(), batch_seed(seed, i));
         let mut rng = StdRng::seed_from_u64(batch_seed(seed ^ 0xBEEF, i));
-        let arity = sk.arity_named(name);
         inputs.clear();
-        inputs.resize(arity, false);
+        inputs.resize(kind.arity(), false);
         let aborts_before = sk.machine().stats().tx_spurious_aborts;
         let cycles_before = sk.machine().cycles();
         let mut correct = 0u64;
@@ -302,8 +307,8 @@ pub fn gate_performance_sharded(name: &str, ops: u64, seed: u64, shards: usize) 
             for b in inputs.iter_mut() {
                 *b = rng.gen();
             }
-            let r = sk.execute_named(name, inputs).expect("arity matches");
-            if r.bit == sk.truth_named(name, inputs) {
+            let r = sk.execute_timed(kind, inputs).expect("arity matches");
+            if r.bit == kind.truth(inputs) {
                 correct += 1;
             }
             delays.push(r.delay);
@@ -394,14 +399,6 @@ where
     merged
 }
 
-/// Collects raw output-read delays of `gate` for one fixed input
-/// combination — the Tables 6–7 measurement.
-pub fn delay_by_input(sk: &mut Skelly, name: &str, inputs: &[bool], ops: u64) -> Vec<u64> {
-    (0..ops)
-        .map(|_| sk.execute_named(name, inputs).expect("arity matches").delay)
-        .collect()
-}
-
 /// Buckets `delays` for the Figure 7–8 "KDE" view: returns
 /// `(bucket_start, count)` pairs with the given bucket width.
 pub fn delay_histogram(delays: &[u64], bucket: u64) -> Vec<(u64, u64)> {
@@ -410,17 +407,6 @@ pub fn delay_histogram(delays: &[u64], bucket: u64) -> Vec<(u64, u64)> {
         *map.entry(d / bucket * bucket).or_insert(0u64) += 1;
     }
     map.into_iter().collect()
-}
-
-/// TSX gate accuracy + spurious aborts over `ops` random-input executions
-/// (Table 8).
-pub fn tsx_accuracy(name: &str, ops: u64, seed: u64) -> GateRun {
-    gate_performance(name, ops, seed)
-}
-
-/// BP/IC gate accuracy over `ops` random-input executions (Table 5).
-pub fn gate_accuracy(name: &str, ops: u64, seed: u64) -> GateRun {
-    gate_performance(name, ops, seed)
 }
 
 /// Runs `experiments` arm-and-trigger experiments and returns the number
@@ -531,7 +517,7 @@ mod tests {
     #[test]
     fn gate_run_counts_and_times() {
         let mut sk = Skelly::quiet(0).unwrap();
-        let r = gate_run(&mut sk, "TSX_AND", 50, 1);
+        let r = gate_run(&mut sk, GateKind::TxAnd, 50, 1);
         assert_eq!(r.ops, 50);
         assert_eq!(r.correct, 50, "quiet machine is exact");
         assert!(r.sim_cycles > 0);

@@ -5,6 +5,7 @@
 use uwm_bench::{gate_performance_sharded, sharded_counters, sharded_delays, GATE_BATCH_OPS};
 use uwm_core::circuit::CircuitBuilder;
 use uwm_core::exec::{batch_seed, ShardedExecutor};
+use uwm_core::gate::GateKind;
 use uwm_core::layout::Layout;
 use uwm_core::skelly::GateCounters;
 use uwm_sim::machine::{Machine, MachineConfig};
@@ -16,8 +17,8 @@ const OPS: u64 = 2 * GATE_BATCH_OPS + 100;
 
 #[test]
 fn gate_run_is_shard_count_invariant() {
-    let one = gate_performance_sharded("TSX_XOR", OPS, 42, 1);
-    let four = gate_performance_sharded("TSX_XOR", OPS, 42, 4);
+    let one = gate_performance_sharded(GateKind::TxXor, OPS, 42, 1);
+    let four = gate_performance_sharded(GateKind::TxXor, OPS, 42, 4);
     assert_eq!(one.run.ops, four.run.ops);
     assert_eq!(one.run.correct, four.run.correct);
     assert_eq!(one.run.sim_cycles, four.run.sim_cycles);
@@ -30,8 +31,8 @@ fn gate_run_is_shard_count_invariant() {
 
 #[test]
 fn two_sharded_runs_are_identical() {
-    let a = gate_performance_sharded("AND", GATE_BATCH_OPS + 50, 7, 3);
-    let b = gate_performance_sharded("AND", GATE_BATCH_OPS + 50, 7, 3);
+    let a = gate_performance_sharded(GateKind::And, GATE_BATCH_OPS + 50, 7, 3);
+    let b = gate_performance_sharded(GateKind::And, GATE_BATCH_OPS + 50, 7, 3);
     assert_eq!(a.run.correct, b.run.correct);
     assert_eq!(a.run.sim_cycles, b.run.sim_cycles);
     assert_eq!(a.delays, b.delays);
@@ -43,7 +44,9 @@ fn delay_sweep_is_shard_count_invariant() {
         sharded_delays(OPS, 9, shards, |sk, rng| {
             use uwm_rng::Rng;
             let inputs = [rng.gen::<bool>(), rng.gen::<bool>()];
-            sk.execute_named("TSX_AND", &inputs).expect("arity").delay
+            sk.execute_timed(GateKind::TxAnd, &inputs)
+                .expect("arity")
+                .delay
         })
     };
     assert_eq!(

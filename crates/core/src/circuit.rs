@@ -21,8 +21,8 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::error::{CoreError, Result};
-use crate::gate::tsx::{TsxAnd, TsxAndOr, TsxAssign, TsxNot, TsxOr};
-use crate::gate::{GateReading, ProgramUnit, READ_THRESHOLD};
+use crate::gate::tsx::TsxGate;
+use crate::gate::{set_dc, GateKind, GateReading, ProgramUnit, WeirdGate, READ_THRESHOLD};
 use crate::layout::Layout;
 use crate::skelly::calibrate_threshold;
 use crate::substrate::Substrate;
@@ -36,96 +36,44 @@ const CALIBRATION_SAMPLES: usize = 33;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Wire(usize);
 
+/// One gate of a circuit: the wired TSX gate plus the wires its input
+/// and output registers belong to.
 #[derive(Debug, Clone, Copy)]
-enum Step {
-    Assign {
-        g: TsxAssign,
-        a: Wire,
-        q: Wire,
-    },
-    Not {
-        g: TsxNot,
-        a: Wire,
-        q: Wire,
-    },
-    And {
-        g: TsxAnd,
-        a: Wire,
-        b: Wire,
-        q: Wire,
-    },
-    Or {
-        g: TsxOr,
-        a: Wire,
-        b: Wire,
-        q: Wire,
-    },
-    AndOr {
-        g: TsxAndOr,
-        a: Wire,
-        b: Wire,
-        q_and: Wire,
-        q_or: Wire,
-    },
+struct Step {
+    gate: TsxGate,
+    /// Input wires; the first `kind.arity()` are used.
+    ins: [Wire; 2],
+    /// Output wires; the first `kind.outputs()` are used.
+    outs: [Wire; 2],
 }
 
 impl Step {
-    /// Entry pc of the step's transaction.
-    fn entry_pc(&self) -> u64 {
-        match self {
-            Step::Assign { g, .. } => g.entry_pc(),
-            Step::Not { g, .. } => g.entry_pc(),
-            Step::And { g, .. } => g.entry_pc(),
-            Step::Or { g, .. } => g.entry_pc(),
-            Step::AndOr { g, .. } => g.entry_pc(),
+    fn in_wires(&self) -> &[Wire] {
+        &self.ins[..self.gate.ins().len()]
+    }
+
+    fn out_wires(&self) -> &[Wire] {
+        &self.outs[..self.gate.outs().len()]
+    }
+
+    /// Appends the step's output-initialization ops: flush to 0, or touch
+    /// to pre-set 1 for the kinds that clear their output (NOT).
+    fn push_preps(&self, preps: &mut Vec<PrepOp>) {
+        let preset = self.gate.kind().presets_output();
+        for &addr in self.gate.outs() {
+            preps.push(PrepOp { addr, preset });
         }
     }
 
-    /// Input wires, `None`-padded to the maximum arity.
-    fn in_wires(&self) -> [Option<Wire>; 2] {
-        match *self {
-            Step::Assign { a, .. } | Step::Not { a, .. } => [Some(a), None],
-            Step::And { a, b, .. } | Step::Or { a, b, .. } | Step::AndOr { a, b, .. } => {
-                [Some(a), Some(b)]
-            }
-        }
-    }
-
-    /// Output wires, `None`-padded.
-    fn out_wires(&self) -> [Option<Wire>; 2] {
-        match *self {
-            Step::Assign { q, .. }
-            | Step::Not { q, .. }
-            | Step::And { q, .. }
-            | Step::Or { q, .. } => [Some(q), None],
-            Step::AndOr { q_and, q_or, .. } => [Some(q_and), Some(q_or)],
-        }
-    }
-
-    /// Appends the step's output-initialization ops: every output wire is
-    /// flushed to 0, except NOT's, which is pre-set to 1.
-    fn push_preps(&self, wires: &[u64], preps: &mut Vec<PrepOp>) {
-        let preset = matches!(self, Step::Not { .. });
-        for w in self.out_wires().into_iter().flatten() {
-            preps.push(PrepOp {
-                addr: wires[w.0],
-                preset,
-            });
-        }
-    }
-
+    /// Architectural reference: the kind's truth on the first output; the
+    /// second output of `AND_OR` is the OR.
     fn eval(&self, bits: &mut [bool]) {
-        match *self {
-            Step::Assign { a, q, .. } => bits[q.0] = bits[a.0],
-            Step::Not { a, q, .. } => bits[q.0] = !bits[a.0],
-            Step::And { a, b, q, .. } => bits[q.0] = bits[a.0] & bits[b.0],
-            Step::Or { a, b, q, .. } => bits[q.0] = bits[a.0] | bits[b.0],
-            Step::AndOr {
-                a, b, q_and, q_or, ..
-            } => {
-                bits[q_and.0] = bits[a.0] & bits[b.0];
-                bits[q_or.0] = bits[a.0] | bits[b.0];
-            }
+        let kind = self.gate.kind();
+        let x = [bits[self.ins[0].0], bits[self.ins[1].0]];
+        let x = &x[..kind.arity()];
+        bits[self.outs[0].0] = kind.truth(x);
+        if let [_, q_or] = self.out_wires() {
+            bits[q_or.0] = GateKind::TxOr.truth(x);
         }
     }
 }
@@ -196,18 +144,32 @@ impl CircuitBuilder {
         Ok(w)
     }
 
+    /// Adds one `kind` gate consuming `ins`; returns its output wires
+    /// (the second is the first again for one-output kinds).
+    fn gate(&mut self, lay: &mut Layout, kind: GateKind, ins: [Wire; 2]) -> Result<[Wire; 2]> {
+        let (n_in, n_out) = (kind.arity(), kind.outputs());
+        self.consume(&ins[..n_in])?;
+        let q = self.fresh_wire(lay)?;
+        let outs = if n_out == 2 {
+            [q, self.fresh_wire(lay)?]
+        } else {
+            [q, q]
+        };
+        let addr = |w: Wire| self.wires[w.0];
+        let (in_addrs, out_addrs) = (ins.map(addr), outs.map(addr));
+        let gate = TsxGate::spec_wired(kind, lay, &in_addrs[..n_in], &out_addrs[..n_out])?
+            .into_gate(&mut self.units);
+        self.steps.push(Step { gate, ins, outs });
+        Ok(outs)
+    }
+
     /// Adds `q := a` and returns `q`.
     ///
     /// # Errors
     ///
     /// Fails on wire reuse or layout exhaustion.
     pub fn assign(&mut self, lay: &mut Layout, a: Wire) -> Result<Wire> {
-        self.consume(&[a])?;
-        let q = self.fresh_wire(lay)?;
-        let (g, units) = TsxAssign::spec_wired(lay, self.wires[a.0], self.wires[q.0])?.into_parts();
-        self.units.extend(units);
-        self.steps.push(Step::Assign { g, a, q });
-        Ok(q)
+        Ok(self.gate(lay, GateKind::TxAssign, [a, a])?[0])
     }
 
     /// Adds `q := !a` and returns `q`.
@@ -216,12 +178,7 @@ impl CircuitBuilder {
     ///
     /// Fails on wire reuse or layout exhaustion.
     pub fn not(&mut self, lay: &mut Layout, a: Wire) -> Result<Wire> {
-        self.consume(&[a])?;
-        let q = self.fresh_wire(lay)?;
-        let (g, units) = TsxNot::spec_wired(lay, self.wires[a.0], self.wires[q.0])?.into_parts();
-        self.units.extend(units);
-        self.steps.push(Step::Not { g, a, q });
-        Ok(q)
+        Ok(self.gate(lay, GateKind::TxNot, [a, a])?[0])
     }
 
     /// Adds `q := a & b` and returns `q`.
@@ -230,14 +187,7 @@ impl CircuitBuilder {
     ///
     /// Fails on wire reuse or layout exhaustion.
     pub fn and(&mut self, lay: &mut Layout, a: Wire, b: Wire) -> Result<Wire> {
-        self.consume(&[a, b])?;
-        let q = self.fresh_wire(lay)?;
-        let (g, units) =
-            TsxAnd::spec_wired(lay, self.wires[a.0], self.wires[b.0], self.wires[q.0])?
-                .into_parts();
-        self.units.extend(units);
-        self.steps.push(Step::And { g, a, b, q });
-        Ok(q)
+        Ok(self.gate(lay, GateKind::TxAnd, [a, b])?[0])
     }
 
     /// Adds `q := a | b` and returns `q`.
@@ -246,13 +196,7 @@ impl CircuitBuilder {
     ///
     /// Fails on wire reuse or layout exhaustion.
     pub fn or(&mut self, lay: &mut Layout, a: Wire, b: Wire) -> Result<Wire> {
-        self.consume(&[a, b])?;
-        let q = self.fresh_wire(lay)?;
-        let (g, units) =
-            TsxOr::spec_wired(lay, self.wires[a.0], self.wires[b.0], self.wires[q.0])?.into_parts();
-        self.units.extend(units);
-        self.steps.push(Step::Or { g, a, b, q });
-        Ok(q)
+        Ok(self.gate(lay, GateKind::TxOr, [a, b])?[0])
     }
 
     /// Adds the Figure 3 combined gate; returns `(a & b, a | b)`.
@@ -261,25 +205,7 @@ impl CircuitBuilder {
     ///
     /// Fails on wire reuse or layout exhaustion.
     pub fn and_or(&mut self, lay: &mut Layout, a: Wire, b: Wire) -> Result<(Wire, Wire)> {
-        self.consume(&[a, b])?;
-        let q_and = self.fresh_wire(lay)?;
-        let q_or = self.fresh_wire(lay)?;
-        let (g, units) = TsxAndOr::spec_wired(
-            lay,
-            self.wires[a.0],
-            self.wires[b.0],
-            self.wires[q_and.0],
-            self.wires[q_or.0],
-        )?
-        .into_parts();
-        self.units.extend(units);
-        self.steps.push(Step::AndOr {
-            g,
-            a,
-            b,
-            q_and,
-            q_or,
-        });
+        let [q_and, q_or] = self.gate(lay, GateKind::TxAndOr, [a, b])?;
         Ok((q_and, q_or))
     }
 
@@ -376,12 +302,11 @@ impl CircuitSpec {
         for (i, step) in self.steps.iter().enumerate() {
             let lvl = 1 + step
                 .in_wires()
-                .into_iter()
-                .flatten()
+                .iter()
                 .map(|w| wire_level[w.0])
                 .max()
                 .unwrap_or(0);
-            for w in step.out_wires().into_iter().flatten() {
+            for w in step.out_wires() {
                 wire_level[w.0] = lvl;
             }
             order.push((lvl, i));
@@ -399,8 +324,8 @@ impl CircuitSpec {
                 cur_level = lvl;
             }
             let step = self.steps[i];
-            step.push_preps(&self.wires, &mut preps);
-            activations.push(step.entry_pc());
+            step.push_preps(&mut preps);
+            activations.push(step.gate.entry_pc());
             steps.push(step);
         }
 
@@ -624,18 +549,10 @@ impl Circuit {
             });
         }
         for p in &self.plan.preps {
-            if p.preset {
-                s.timed_read(p.addr);
-            } else {
-                s.flush_addr(p.addr);
-            }
+            set_dc(s, p.addr, p.preset);
         }
         for (&addr, &bit) in self.plan.input_addrs.iter().zip(input_bits) {
-            if bit {
-                s.timed_read(addr);
-            } else {
-                s.flush_addr(addr);
-            }
+            set_dc(s, addr, bit);
         }
         for &pc in &self.plan.activations {
             s.run_at(pc);
@@ -770,40 +687,66 @@ mod tests {
         ));
     }
 
+    /// Property: a seeded random DAG over every builder gate, respecting
+    /// single consumption, computes on a quiet machine exactly what its
+    /// architectural reference computes, for random inputs.
     #[test]
-    fn full_adder_circuit_matches_reference() {
-        // sum = a^b^cin; carry = (a&b) | (cin & (a^b)) — built from the
-        // circuit primitives with explicit fan-out via assign-free wiring.
-        let (mut m, mut lay) = setup();
-        let mut cb = CircuitBuilder::new();
-        // Fan-out must be explicit: declare duplicated inputs.
-        let a1 = cb.input(&mut lay).unwrap();
-        let b1 = cb.input(&mut lay).unwrap();
-        let a2 = cb.input(&mut lay).unwrap();
-        let b2 = cb.input(&mut lay).unwrap();
-        let cin1 = cb.input(&mut lay).unwrap();
-        let cin2 = cb.input(&mut lay).unwrap();
-        let x1 = cb.xor(&mut lay, a1, b1).unwrap();
-        let (ab, _) = cb.and_or(&mut lay, a2, b2).unwrap();
-        let (cx, x1copy_or) = cb.and_or(&mut lay, cin1, x1).unwrap();
-        // sum = x1' ^ cin where x1' flowed through the or-output? Keep it
-        // simple: sum = cin2 ^ (a^b) recomputed via the or path is not
-        // available — use a second xor over duplicated inputs instead.
-        let _ = x1copy_or;
-        let sum = cb.xor(&mut lay, cx, ab).unwrap(); // placeholder mix
-        cb.mark_output(sum);
-        let c = cb.finish().unwrap().instantiate(&mut m);
-        // Whatever boolean function the wiring implements, the MA execution
-        // must agree with the architectural reference on every input.
-        for bits in 0..64u32 {
-            let inputs: Vec<bool> = (0..6).map(|i| bits >> i & 1 == 1).collect();
-            assert_eq!(
-                c.run(&mut m, &inputs).unwrap(),
-                c.eval_reference(&inputs),
-                "inputs {inputs:?}"
-            );
+    fn random_circuits_match_reference() {
+        use uwm_rng::rngs::StdRng;
+        use uwm_rng::{Rng, SeedableRng};
+
+        let mut ops_seen = [false; 6];
+        for seed in 1..=6u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (_m, mut lay) = setup();
+            let mut cb = CircuitBuilder::new();
+            // Unconsumed wires; every gate draws its inputs from here.
+            let mut live: Vec<Wire> = (0..rng.gen_range(2..5usize))
+                .map(|_| cb.input(&mut lay).unwrap())
+                .collect();
+            for _ in 0..14 {
+                let op = rng.gen_range(0..6usize);
+                ops_seen[op] = true;
+                let a = live.swap_remove(rng.gen_range(0..live.len()));
+                // A second input, or the first again (fan-in of one wire
+                // into one gate is a single consumption).
+                let b = if live.is_empty() || rng.gen() {
+                    a
+                } else {
+                    live.swap_remove(rng.gen_range(0..live.len()))
+                };
+                let lay = &mut lay;
+                match op {
+                    0 => live.push(cb.assign(lay, a).unwrap()),
+                    1 => live.push(cb.not(lay, a).unwrap()),
+                    2 => live.push(cb.and(lay, a, b).unwrap()),
+                    3 => live.push(cb.or(lay, a, b).unwrap()),
+                    4 => {
+                        let (q_and, q_or) = cb.and_or(lay, a, b).unwrap();
+                        live.extend([q_and, q_or]);
+                    }
+                    _ => live.push(cb.xor(lay, a, b).unwrap()),
+                }
+                if op < 2 && b != a {
+                    live.push(b); // unary gates leave the second draw live
+                }
+            }
+            for &w in &live {
+                cb.mark_output(w);
+            }
+            let spec = cb.finish().unwrap();
+            let mut m = Machine::new(MachineConfig::quiet(), seed);
+            let c = spec.instantiate(&mut m);
+            for _ in 0..16 {
+                let inputs: Vec<bool> = (0..c.input_count()).map(|_| rng.gen()).collect();
+                assert_eq!(
+                    c.run(&mut m, &inputs).unwrap(),
+                    c.eval_reference(&inputs),
+                    "seed {seed}, inputs {inputs:?}"
+                );
+            }
         }
-        let _ = cin2;
+        assert!(ops_seen.iter().all(|&seen| seen), "every gate kind drawn");
     }
 
     #[test]

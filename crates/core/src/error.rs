@@ -20,6 +20,12 @@ pub enum CoreError {
         /// Inputs provided.
         got: usize,
     },
+    /// A gate constructor was given a kind of another family, or register
+    /// lists that do not match the kind's inputs and outputs.
+    Wiring {
+        /// Gate name.
+        gate: &'static str,
+    },
     /// The layout region for gate code or weird-register variables is full.
     LayoutExhausted {
         /// Which region overflowed.
@@ -51,6 +57,12 @@ impl fmt::Display for CoreError {
                 got,
             } => {
                 write!(f, "gate `{gate}` takes {expected} inputs, got {got}")
+            }
+            CoreError::Wiring { gate } => {
+                write!(
+                    f,
+                    "gate `{gate}` cannot be built with this constructor or wiring"
+                )
             }
             CoreError::LayoutExhausted { region } => {
                 write!(f, "layout region `{region}` exhausted")

@@ -16,16 +16,18 @@
 //! The boolean function is computed by the race itself: no architectural
 //! instruction ever combines the inputs.
 //!
-//! Like the TSX family, each gate is described machine-free by
-//! `spec(&mut layout)` and bound to a backend with
-//! [`GateSpec::instantiate`]; `build` composes the two. BP gate code is
-//! deliberately **not** warmed at instantiation — body-line residency *is*
-//! one of the gate's inputs.
+//! All four kinds are one [`BpGate`] over one or two branch blocks. Like
+//! the TSX family, a gate is described machine-free by
+//! `BpGate::spec(kind, &mut layout)` and bound to a backend with
+//! [`GateSpec::instantiate`]. BP gate code is deliberately **not** warmed
+//! at instantiation — body-line residency *is* one of the gate's inputs.
 
 use std::sync::Arc;
 
-use crate::error::Result;
-use crate::gate::{check_arity, GateReading, GateSpec, ProgramUnit, WeirdGate, READ_THRESHOLD};
+use crate::error::{CoreError, Result};
+use crate::gate::{
+    check_arity, read_out, set_dc, GateKind, GateReading, GateSpec, ProgramUnit, WeirdGate,
+};
 use crate::layout::Layout;
 use crate::substrate::Substrate;
 use uwm_sim::isa::{Assembler, Inst};
@@ -114,523 +116,155 @@ impl BranchBlock {
     }
 }
 
-/// Reads the gate output: timed load against [`READ_THRESHOLD`].
-fn read_out<S: Substrate + ?Sized>(s: &mut S, out: u64) -> GateReading {
-    let delay = s.timed_read_tsc(out);
-    GateReading {
-        bit: delay < READ_THRESHOLD,
-        delay,
+/// Assembles a gate skeleton of one branch per condition word (Figure 1;
+/// Figure 2 for two), each followed by its own 64-byte-aligned `body`
+/// line that the branch skips architecturally, then a halt. Returns each
+/// block's `(branch_pc, body)` and the program fragment.
+fn emit_blocks(
+    lay: &mut Layout,
+    conds: &[u64],
+    body: Inst,
+) -> Result<([(u64, u64); 2], ProgramUnit)> {
+    let base = lay.alloc_gate_code((2 * conds.len() as u64 + 2) * 64)?;
+    let mut a = Assembler::new(base);
+    let mut blocks = [(0, 0); 2];
+    for ((&cond, block), skip) in conds.iter().zip(&mut blocks).zip(["skip1", "skip2"]) {
+        let branch_pc = a.brz(cond as u32, skip);
+        a.align_to(64);
+        *block = (branch_pc, a.push(body));
+        a.align_to(64);
+        a.label(skip)?;
     }
-}
-
-/// Assembles a single-branch gate skeleton (branch + one aligned body
-/// line + halt) with the given body instruction; returns
-/// `(branch_pc, body, program)`.
-fn emit_single_block(
-    lay: &mut Layout,
-    cond: u64,
-    body_inst: Inst,
-) -> Result<(u64, u64, ProgramUnit)> {
-    let base = lay.alloc_gate_code(4 * 64)?;
-    let mut a = Assembler::new(base);
-    a.brz(cond as u32, "skip");
-    a.align_to(64);
-    a.label("body")?;
-    a.push(body_inst);
-    a.align_to(64);
-    a.label("skip")?;
     a.push(Inst::Halt);
-    let body = a.resolve("body").expect("label defined above");
-    Ok((
-        base,
-        body,
-        ProgramUnit {
-            program: Arc::new(a.finish()?),
-            warm: None,
-        },
-    ))
+    let unit = ProgramUnit {
+        program: Arc::new(a.finish()?),
+        warm: None,
+    };
+    Ok((blocks, unit))
 }
 
-/// Assembles a two-branch gate skeleton (Figure 2's shape): two branches,
-/// each with an aligned `store out` body; returns
-/// `(branch1_pc, body1, branch2_pc, body2, program)`.
-fn emit_double_block(
-    lay: &mut Layout,
-    cond1: u64,
-    cond2: u64,
-    out: u64,
-) -> Result<(u64, u64, u64, u64, ProgramUnit)> {
-    let base = lay.alloc_gate_code(6 * 64)?;
-    let mut a = Assembler::new(base);
-    a.brz(cond1 as u32, "g2");
-    a.align_to(64);
-    a.label("body1")?;
-    a.push(Inst::Store {
-        addr: out as u32,
-        src: BODY_SRC_REG,
-    });
-    a.align_to(64);
-    a.label("g2")?;
-    let g2_pc = a.pc();
-    a.brz(cond2 as u32, "skip");
-    a.align_to(64);
-    a.label("body2")?;
-    a.push(Inst::Store {
-        addr: out as u32,
-        src: BODY_SRC_REG,
-    });
-    a.align_to(64);
-    a.label("skip")?;
-    a.push(Inst::Halt);
-    let body1 = a.resolve("body1").expect("label defined above");
-    let body2 = a.resolve("body2").expect("label defined above");
-    Ok((
-        base,
-        body1,
-        g2_pc,
-        body2,
-        ProgramUnit {
-            program: Arc::new(a.finish()?),
-            warm: None,
-        },
-    ))
-}
-
-/// The weird `AND` gate of Figure 1.
+/// A branch-predictor weird gate of any of the four BP kinds.
 ///
-/// `out = ic & bp`: the body (`store out`) runs speculatively only when the
-/// predictor was mistrained toward it (*bp*) **and** its line is cached
-/// (*ic*).
+/// * `AND` (Figure 1): `out = ic & bp` — the body (`store out`) runs
+///   speculatively only when the predictor was mistrained toward it
+///   (*bp*) **and** its line is cached (*ic*).
+/// * `NAND` (our construction; §3.2.3 says a NAND exists but leaves it
+///   unspecified): the `AND` shape with the output *pre-set to 1* and a
+///   `clflush` of the output as the body, so the output drops to 0 exactly
+///   when both inputs are 1. NAND is universal, which is what makes the
+///   gate set Turing-capable.
+/// * `AND_AND_OR`: `out = (a & b) | (c & d)` — two AND blocks storing to
+///   one output; the gate the paper's SHA-1 uses for its full adder's
+///   carry and the round functions (§5.2, Table 4).
+/// * `OR` (Figure 2): the `AND_AND_OR` shape fed `(a, 1, 1, b)` — block 1
+///   is always mistrained and its body residency carries `a`; block 2's
+///   body stays resident and its training carries `b`.
 ///
 /// # Examples
 ///
 /// ```
-/// use uwm_core::gate::bp::BpAnd;
+/// use uwm_core::gate::bp::BpGate;
+/// use uwm_core::gate::{GateKind, WeirdGate};
 /// use uwm_core::layout::Layout;
 /// use uwm_sim::machine::{Machine, MachineConfig};
 ///
 /// let mut m = Machine::new(MachineConfig::quiet(), 0);
 /// let mut lay = Layout::new(m.predictor().alias_stride());
-/// let gate = BpAnd::build(&mut m, &mut lay).unwrap();
-/// assert!(gate.execute(&mut m, true, true));
-/// assert!(!gate.execute(&mut m, true, false));
+/// let gate = BpGate::spec(GateKind::And, &mut lay).unwrap().instantiate(&mut m);
+/// assert!(gate.execute(&mut m, &[true, true]).unwrap());
+/// assert!(!gate.execute(&mut m, &[true, false]).unwrap());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BpAnd {
-    block: BranchBlock,
+pub struct BpGate {
+    kind: GateKind,
+    first: BranchBlock,
+    /// The second block of the two-block kinds (`OR`, `AND_AND_OR`).
+    second: Option<BranchBlock>,
     out: u64,
 }
 
-impl BpAnd {
-    /// Describes the gate at fresh layout addresses, machine-free.
+impl BpGate {
+    /// Describes a `kind` gate at fresh layout addresses, machine-free.
     ///
     /// # Errors
     ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn spec(lay: &mut Layout) -> Result<GateSpec<Self>> {
-        let cond = lay.alloc_var()?;
+    /// Fails with [`CoreError::Wiring`] when `kind` is not of the BP
+    /// family, and on layout exhaustion or assembly error.
+    pub fn spec(kind: GateKind, lay: &mut Layout) -> Result<GateSpec<Self>> {
+        let n = match kind {
+            GateKind::And | GateKind::Nand => 1,
+            GateKind::Or | GateKind::AndAndOr => 2,
+            _ => return Err(CoreError::Wiring { gate: kind.name() }),
+        };
+        let mut conds = [0; 2];
+        for cond in &mut conds[..n] {
+            *cond = lay.alloc_var()?;
+        }
         let out = lay.alloc_var()?;
-        let (base, body, gate_unit) = emit_single_block(
-            lay,
-            cond,
+        let body = if kind.presets_output() {
+            Inst::Flush { addr: out as u32 }
+        } else {
             Inst::Store {
                 addr: out as u32,
                 src: BODY_SRC_REG,
-            },
-        )?;
-        let (block, train_unit) = BranchBlock::finish(lay, base, body, cond)?;
-        Ok(GateSpec::new(
-            Self { block, out },
-            vec![gate_unit, train_unit],
-        ))
-    }
-
-    /// Assembles and instantiates the gate in one step.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn build<S: Substrate + ?Sized>(s: &mut S, lay: &mut Layout) -> Result<Self> {
-        Ok(Self::spec(lay)?.instantiate(s))
-    }
-
-    /// Executes the gate with explicit inputs; returns the output bit.
-    pub fn execute<S: Substrate + ?Sized>(&self, s: &mut S, ic: bool, bp: bool) -> bool {
-        self.execute_reading(s, ic, bp).bit
-    }
-
-    /// Executes the gate, reporting the raw output-read delay.
-    pub fn execute_reading<S: Substrate + ?Sized>(
-        &self,
-        s: &mut S,
-        ic: bool,
-        bp: bool,
-    ) -> GateReading {
-        self.block.set_ic(s, ic);
-        self.block.train(s, bp);
-        s.flush_addr(self.out); // output := 0
-        self.block.arm(s);
-        s.run_at(self.block.branch_pc);
-        read_out(s, self.out)
+            }
+        };
+        let (pcs, gate_unit) = emit_blocks(lay, &conds[..n], body)?;
+        let mut units = vec![gate_unit];
+        let mut block = |i: usize| -> Result<BranchBlock> {
+            let (block, train) = BranchBlock::finish(lay, pcs[i].0, pcs[i].1, conds[i])?;
+            units.push(train);
+            Ok(block)
+        };
+        let first = block(0)?;
+        let second = if n == 2 { Some(block(1)?) } else { None };
+        let gate = Self {
+            kind,
+            first,
+            second,
+            out,
+        };
+        Ok(GateSpec::new(gate, units))
     }
 }
 
-impl WeirdGate for BpAnd {
-    fn name(&self) -> &'static str {
-        "AND"
+impl WeirdGate for BpGate {
+    fn kind(&self) -> GateKind {
+        self.kind
     }
 
-    fn arity(&self) -> usize {
-        2
-    }
-
-    fn truth(&self, inputs: &[bool]) -> bool {
-        inputs[0] & inputs[1]
-    }
-
-    fn execute_timed(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<GateReading> {
-        check_arity(self.name(), 2, inputs)?;
-        Ok(self.execute_reading(s, inputs[0], inputs[1]))
-    }
-
-    fn supports_split(&self) -> bool {
-        true
-    }
-
+    /// Writes the IC and BP inputs, initializes the output and arms the
+    /// branches. Single-block kinds take `(ic, bp)`; two-block kinds take
+    /// `(ic1, bp1, ic2, bp2)`, `OR` as `(a, 1, 1, b)`.
     fn begin(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<()> {
-        check_arity(self.name(), 2, inputs)?;
-        self.block.set_ic(s, inputs[0]);
-        self.block.train(s, inputs[1]);
-        s.flush_addr(self.out); // output := 0
-        self.block.arm(s);
+        check_arity(self.kind, inputs)?;
+        match self.second {
+            None => {
+                self.first.set_ic(s, inputs[0]);
+                self.first.train(s, inputs[1]);
+                set_dc(s, self.out, self.kind.presets_output());
+                self.first.arm(s);
+            }
+            Some(second) => {
+                let [a, b, c, d] = if self.kind == GateKind::Or {
+                    [inputs[0], true, true, inputs[1]]
+                } else {
+                    [inputs[0], inputs[1], inputs[2], inputs[3]]
+                };
+                self.first.set_ic(s, a);
+                second.set_ic(s, c);
+                self.first.train(s, b);
+                second.train(s, d);
+                s.flush_addr(self.out);
+                self.first.arm(s);
+                second.arm(s);
+            }
+        }
         Ok(())
     }
 
     fn activate_read(&self, s: &mut dyn Substrate) -> GateReading {
-        s.run_at(self.block.branch_pc);
-        read_out(s, self.out)
-    }
-}
-
-/// Our weird `NAND` gate (§3.2.3 says a NAND exists but leaves the
-/// construction unspecified; this is ours).
-///
-/// The output line is *pre-set to 1*; the body is a `clflush` of the output
-/// executed speculatively, so the output drops to 0 exactly when both
-/// inputs are 1. NAND is universal, which is what makes the whole gate set
-/// Turing-capable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BpNand {
-    block: BranchBlock,
-    out: u64,
-}
-
-impl BpNand {
-    /// Describes the gate at fresh layout addresses, machine-free.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn spec(lay: &mut Layout) -> Result<GateSpec<Self>> {
-        let cond = lay.alloc_var()?;
-        let out = lay.alloc_var()?;
-        let (base, body, gate_unit) =
-            emit_single_block(lay, cond, Inst::Flush { addr: out as u32 })?;
-        let (block, train_unit) = BranchBlock::finish(lay, base, body, cond)?;
-        Ok(GateSpec::new(
-            Self { block, out },
-            vec![gate_unit, train_unit],
-        ))
-    }
-
-    /// Assembles and instantiates the gate in one step.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn build<S: Substrate + ?Sized>(s: &mut S, lay: &mut Layout) -> Result<Self> {
-        Ok(Self::spec(lay)?.instantiate(s))
-    }
-
-    /// Executes the gate with explicit inputs; returns the output bit.
-    pub fn execute<S: Substrate + ?Sized>(&self, s: &mut S, ic: bool, bp: bool) -> bool {
-        self.execute_reading(s, ic, bp).bit
-    }
-
-    /// Executes the gate, reporting the raw output-read delay.
-    pub fn execute_reading<S: Substrate + ?Sized>(
-        &self,
-        s: &mut S,
-        ic: bool,
-        bp: bool,
-    ) -> GateReading {
-        self.block.set_ic(s, ic);
-        self.block.train(s, bp);
-        s.timed_read(self.out); // output := 1 (pre-set)
-        self.block.arm(s);
-        s.run_at(self.block.branch_pc);
-        read_out(s, self.out)
-    }
-}
-
-impl WeirdGate for BpNand {
-    fn name(&self) -> &'static str {
-        "NAND"
-    }
-
-    fn arity(&self) -> usize {
-        2
-    }
-
-    fn truth(&self, inputs: &[bool]) -> bool {
-        !(inputs[0] & inputs[1])
-    }
-
-    fn execute_timed(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<GateReading> {
-        check_arity(self.name(), 2, inputs)?;
-        Ok(self.execute_reading(s, inputs[0], inputs[1]))
-    }
-
-    fn supports_split(&self) -> bool {
-        true
-    }
-
-    fn begin(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<()> {
-        check_arity(self.name(), 2, inputs)?;
-        self.block.set_ic(s, inputs[0]);
-        self.block.train(s, inputs[1]);
-        s.timed_read(self.out); // output := 1 (pre-set)
-        self.block.arm(s);
-        Ok(())
-    }
-
-    fn activate_read(&self, s: &mut dyn Substrate) -> GateReading {
-        s.run_at(self.block.branch_pc);
-        read_out(s, self.out)
-    }
-}
-
-/// The weird `OR` gate of Figure 2: two branch blocks storing to one
-/// output.
-///
-/// Block 1 is *always* mistrained; its body-line residency carries input
-/// `a`. Block 2's body stays resident; its training carries input `b`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BpOr {
-    block1: BranchBlock,
-    block2: BranchBlock,
-    out: u64,
-}
-
-impl BpOr {
-    /// Describes the gate at fresh layout addresses, machine-free.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn spec(lay: &mut Layout) -> Result<GateSpec<Self>> {
-        let cond1 = lay.alloc_var()?;
-        let cond2 = lay.alloc_var()?;
-        let out = lay.alloc_var()?;
-        let (b1_pc, body1, b2_pc, body2, gate_unit) = emit_double_block(lay, cond1, cond2, out)?;
-        let (block1, train1) = BranchBlock::finish(lay, b1_pc, body1, cond1)?;
-        let (block2, train2) = BranchBlock::finish(lay, b2_pc, body2, cond2)?;
-        Ok(GateSpec::new(
-            Self {
-                block1,
-                block2,
-                out,
-            },
-            vec![gate_unit, train1, train2],
-        ))
-    }
-
-    /// Assembles and instantiates the gate in one step.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn build<S: Substrate + ?Sized>(s: &mut S, lay: &mut Layout) -> Result<Self> {
-        Ok(Self::spec(lay)?.instantiate(s))
-    }
-
-    /// Executes the gate with explicit inputs; returns the output bit.
-    pub fn execute<S: Substrate + ?Sized>(&self, s: &mut S, a: bool, b: bool) -> bool {
-        self.execute_reading(s, a, b).bit
-    }
-
-    /// Executes the gate, reporting the raw output-read delay.
-    pub fn execute_reading<S: Substrate + ?Sized>(
-        &self,
-        s: &mut S,
-        a: bool,
-        b: bool,
-    ) -> GateReading {
-        self.block1.set_ic(s, a);
-        self.block2.set_ic(s, true); // block 2's body must stay resident
-        self.block1.train(s, true); // unconditionally mistrained (Fig. 2)
-        self.block2.train(s, b);
-        s.flush_addr(self.out);
-        self.block1.arm(s);
-        self.block2.arm(s);
-        s.run_at(self.block1.branch_pc);
-        read_out(s, self.out)
-    }
-}
-
-impl WeirdGate for BpOr {
-    fn name(&self) -> &'static str {
-        "OR"
-    }
-
-    fn arity(&self) -> usize {
-        2
-    }
-
-    fn truth(&self, inputs: &[bool]) -> bool {
-        inputs[0] | inputs[1]
-    }
-
-    fn execute_timed(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<GateReading> {
-        check_arity(self.name(), 2, inputs)?;
-        Ok(self.execute_reading(s, inputs[0], inputs[1]))
-    }
-
-    fn supports_split(&self) -> bool {
-        true
-    }
-
-    fn begin(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<()> {
-        check_arity(self.name(), 2, inputs)?;
-        self.block1.set_ic(s, inputs[0]);
-        self.block2.set_ic(s, true); // block 2's body must stay resident
-        self.block1.train(s, true); // unconditionally mistrained (Fig. 2)
-        self.block2.train(s, inputs[1]);
-        s.flush_addr(self.out);
-        self.block1.arm(s);
-        self.block2.arm(s);
-        Ok(())
-    }
-
-    fn activate_read(&self, s: &mut dyn Substrate) -> GateReading {
-        s.run_at(self.block1.branch_pc);
-        read_out(s, self.out)
-    }
-}
-
-/// The composed `AND_AND_OR` gate: `out = (a & b) | (c & d)`.
-///
-/// Two AND blocks (each an IC input *and* a BP input) storing to one
-/// output — the gate the paper's SHA-1 uses for its full adder's carry and
-/// for the round functions (§5.2, Table 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BpAndAndOr {
-    block1: BranchBlock,
-    block2: BranchBlock,
-    out: u64,
-}
-
-impl BpAndAndOr {
-    /// Describes the gate at fresh layout addresses, machine-free.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn spec(lay: &mut Layout) -> Result<GateSpec<Self>> {
-        let cond1 = lay.alloc_var()?;
-        let cond2 = lay.alloc_var()?;
-        let out = lay.alloc_var()?;
-        let (b1_pc, body1, b2_pc, body2, gate_unit) = emit_double_block(lay, cond1, cond2, out)?;
-        let (block1, train1) = BranchBlock::finish(lay, b1_pc, body1, cond1)?;
-        let (block2, train2) = BranchBlock::finish(lay, b2_pc, body2, cond2)?;
-        Ok(GateSpec::new(
-            Self {
-                block1,
-                block2,
-                out,
-            },
-            vec![gate_unit, train1, train2],
-        ))
-    }
-
-    /// Assembles and instantiates the gate in one step.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn build<S: Substrate + ?Sized>(s: &mut S, lay: &mut Layout) -> Result<Self> {
-        Ok(Self::spec(lay)?.instantiate(s))
-    }
-
-    /// Executes `(a & b) | (c & d)`.
-    pub fn execute<S: Substrate + ?Sized>(
-        &self,
-        s: &mut S,
-        a: bool,
-        b: bool,
-        c: bool,
-        d: bool,
-    ) -> bool {
-        self.execute_reading(s, a, b, c, d).bit
-    }
-
-    /// Executes the gate, reporting the raw output-read delay.
-    pub fn execute_reading<S: Substrate + ?Sized>(
-        &self,
-        s: &mut S,
-        a: bool,
-        b: bool,
-        c: bool,
-        d: bool,
-    ) -> GateReading {
-        self.block1.set_ic(s, a);
-        self.block2.set_ic(s, c);
-        self.block1.train(s, b);
-        self.block2.train(s, d);
-        s.flush_addr(self.out);
-        self.block1.arm(s);
-        self.block2.arm(s);
-        s.run_at(self.block1.branch_pc);
-        read_out(s, self.out)
-    }
-}
-
-impl WeirdGate for BpAndAndOr {
-    fn name(&self) -> &'static str {
-        "AND_AND_OR"
-    }
-
-    fn arity(&self) -> usize {
-        4
-    }
-
-    fn truth(&self, inputs: &[bool]) -> bool {
-        (inputs[0] & inputs[1]) | (inputs[2] & inputs[3])
-    }
-
-    fn execute_timed(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<GateReading> {
-        check_arity(self.name(), 4, inputs)?;
-        Ok(self.execute_reading(s, inputs[0], inputs[1], inputs[2], inputs[3]))
-    }
-
-    fn supports_split(&self) -> bool {
-        true
-    }
-
-    fn begin(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<()> {
-        check_arity(self.name(), 4, inputs)?;
-        self.block1.set_ic(s, inputs[0]);
-        self.block2.set_ic(s, inputs[2]);
-        self.block1.train(s, inputs[1]);
-        self.block2.train(s, inputs[3]);
-        s.flush_addr(self.out);
-        self.block1.arm(s);
-        self.block2.arm(s);
-        Ok(())
-    }
-
-    fn activate_read(&self, s: &mut dyn Substrate) -> GateReading {
-        s.run_at(self.block1.branch_pc);
+        s.run_at(self.first.branch_pc);
         read_out(s, self.out)
     }
 }
@@ -647,54 +281,60 @@ mod tests {
         (m, lay)
     }
 
+    fn build(kind: GateKind) -> (Machine, BpGate) {
+        let (mut m, mut lay) = setup();
+        let g = BpGate::spec(kind, &mut lay).unwrap().instantiate(&mut m);
+        (m, g)
+    }
+
+    fn truth_table_holds(kind: GateKind) {
+        let (mut m, g) = build(kind);
+        assert_eq!(verify_truth_table(&g, &mut m).unwrap(), None, "{kind:?}");
+    }
+
     #[test]
     fn and_truth_table() {
-        let (mut m, mut lay) = setup();
-        let g = BpAnd::build(&mut m, &mut lay).unwrap();
-        assert_eq!(verify_truth_table(&g, &mut m).unwrap(), None);
+        truth_table_holds(GateKind::And);
     }
 
     #[test]
     fn or_truth_table() {
-        let (mut m, mut lay) = setup();
-        let g = BpOr::build(&mut m, &mut lay).unwrap();
-        assert_eq!(verify_truth_table(&g, &mut m).unwrap(), None);
+        truth_table_holds(GateKind::Or);
     }
 
     #[test]
     fn nand_truth_table() {
-        let (mut m, mut lay) = setup();
-        let g = BpNand::build(&mut m, &mut lay).unwrap();
-        assert_eq!(verify_truth_table(&g, &mut m).unwrap(), None);
+        truth_table_holds(GateKind::Nand);
     }
 
     #[test]
     fn and_and_or_truth_table() {
-        let (mut m, mut lay) = setup();
-        let g = BpAndAndOr::build(&mut m, &mut lay).unwrap();
-        assert_eq!(verify_truth_table(&g, &mut m).unwrap(), None);
+        truth_table_holds(GateKind::AndAndOr);
     }
 
     #[test]
     fn gates_are_reusable_and_stable() {
-        let (mut m, mut lay) = setup();
-        let g = BpAnd::build(&mut m, &mut lay).unwrap();
+        let (mut m, g) = build(GateKind::And);
         for i in 0..50 {
             let a = i % 2 == 0;
             let b = i % 3 == 0;
-            assert_eq!(g.execute(&mut m, a, b), a & b, "iteration {i}");
+            assert_eq!(g.execute(&mut m, &[a, b]).unwrap(), a & b, "iteration {i}");
         }
     }
 
     #[test]
     fn two_gate_instances_do_not_interfere() {
         let (mut m, mut lay) = setup();
-        let g1 = BpAnd::build(&mut m, &mut lay).unwrap();
-        let g2 = BpOr::build(&mut m, &mut lay).unwrap();
-        assert!(g1.execute(&mut m, true, true));
-        assert!(!g2.execute(&mut m, false, false));
-        assert!(!g1.execute(&mut m, false, true));
-        assert!(g2.execute(&mut m, true, false));
+        let g1 = BpGate::spec(GateKind::And, &mut lay)
+            .unwrap()
+            .instantiate(&mut m);
+        let g2 = BpGate::spec(GateKind::Or, &mut lay)
+            .unwrap()
+            .instantiate(&mut m);
+        assert!(g1.execute(&mut m, &[true, true]).unwrap());
+        assert!(!g2.execute(&mut m, &[false, false]).unwrap());
+        assert!(!g1.execute(&mut m, &[false, true]).unwrap());
+        assert!(g2.execute(&mut m, &[true, false]).unwrap());
     }
 
     /// One spec can instantiate the same gate on any number of machines —
@@ -702,7 +342,7 @@ mod tests {
     #[test]
     fn one_spec_instantiates_on_many_machines() {
         let mut lay = Layout::new(8192);
-        let spec = BpAnd::spec(&mut lay).unwrap();
+        let spec = BpGate::spec(GateKind::And, &mut lay).unwrap();
         for seed in 0..3 {
             let mut m = Machine::new(MachineConfig::quiet(), seed);
             let g = spec.instantiate(&mut m);
@@ -712,26 +352,33 @@ mod tests {
 
     #[test]
     fn reading_reports_bimodal_delays() {
-        let (mut m, mut lay) = setup();
-        let g = BpAnd::build(&mut m, &mut lay).unwrap();
-        let one = g.execute_reading(&mut m, true, true);
-        let zero = g.execute_reading(&mut m, true, false);
+        let (mut m, g) = build(GateKind::And);
+        let one = g.execute_timed(&mut m, &[true, true]).unwrap();
+        let zero = g.execute_timed(&mut m, &[true, false]).unwrap();
         assert!(one.bit && !zero.bit);
         assert!(zero.delay > one.delay + 100, "hit/miss separation");
     }
 
+    /// Every kind validates its input count, and TSX kinds do not build
+    /// as branch-predictor gates.
     #[test]
     fn arity_is_validated() {
         let (mut m, mut lay) = setup();
-        let g = BpAnd::build(&mut m, &mut lay).unwrap();
-        assert!(matches!(
-            g.execute_timed(&mut m, &[true]),
-            Err(crate::error::CoreError::Arity {
-                expected: 2,
-                got: 1,
-                ..
-            })
-        ));
+        for kind in GateKind::ALL {
+            let Ok(spec) = BpGate::spec(kind, &mut lay) else {
+                assert!(kind.is_tsx(), "{kind:?}");
+                continue;
+            };
+            let g = spec.instantiate(&mut m);
+            assert_eq!(
+                g.execute_timed(&mut m, &[true]),
+                Err(CoreError::Arity {
+                    gate: kind.name(),
+                    expected: kind.arity(),
+                    got: 1,
+                })
+            );
+        }
     }
 
     /// The gate's logic is invisible to the architectural analyzer: the
@@ -739,16 +386,12 @@ mod tests {
     /// for every input combination.
     #[test]
     fn activation_trace_is_input_independent() {
-        let (mut m, mut lay) = setup();
-        let g = BpAnd::build(&mut m, &mut lay).unwrap();
+        let (mut m, g) = build(GateKind::And);
         let mut fingerprints = Vec::new();
         for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
-            g.block.set_ic(&mut m, a);
-            g.block.train(&mut m, b);
-            m.flush_addr(g.out);
-            g.block.arm(&mut m);
+            g.begin(&mut m, &[a, b]).unwrap();
             *m.tracer_mut() = uwm_sim::trace::Tracer::new();
-            m.run_at(g.block.branch_pc); // the gate activation itself
+            m.run_at(g.first.branch_pc); // the gate activation itself
             fingerprints.push(m.tracer().fingerprint());
             *m.tracer_mut() = uwm_sim::trace::Tracer::disabled();
         }

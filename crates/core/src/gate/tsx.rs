@@ -17,15 +17,19 @@
 //! debugger attached to the transaction sees only `xbegin` followed by the
 //! abort handler.
 //!
-//! Every gate follows the spec/instance split: `spec`/`spec_wired` produce
-//! a machine-independent [`GateSpec`] from a [`Layout`] alone;
-//! `build`/`build_wired` are convenience wrappers that immediately
-//! instantiate the spec on a [`Substrate`].
+//! [`TsxGate`] covers the single-transaction kinds (ASSIGN, AND, OR,
+//! AND_OR, NOT): the kind selects the load chain and the output preset.
+//! [`TsxXor`] chains three of them. Both follow the spec/instance split:
+//! `spec`/`spec_wired` produce a machine-independent [`GateSpec`] from a
+//! [`Layout`] alone, and [`GateSpec::instantiate`] binds it to a
+//! [`Substrate`].
 
 use std::sync::Arc;
 
-use crate::error::Result;
-use crate::gate::{check_arity, GateReading, GateSpec, ProgramUnit, WeirdGate, READ_THRESHOLD};
+use crate::error::{CoreError, Result};
+use crate::gate::{
+    check_arity, read_out, set_dc, GateKind, GateReading, GateSpec, ProgramUnit, WeirdGate,
+};
 use crate::layout::Layout;
 use crate::substrate::Substrate;
 use uwm_sim::isa::{AluOp, Assembler, Inst, Operand};
@@ -37,16 +41,11 @@ const R_T0: u8 = 6;
 const R_T1: u8 = 7;
 const R_T2: u8 = 8;
 
-/// Assembles the transaction prologue (`xbegin` + faulting divide), runs
-/// `chain` to emit the gate body, and closes with `xend` + abort handler.
-/// Returns the entry pc and the program fragment; nothing touches a
-/// machine.
-fn emit_tx(
-    lay: &mut Layout,
-    insts: u64,
-    chain: impl FnOnce(&mut Assembler),
-) -> Result<(u64, ProgramUnit)> {
-    let base = lay.alloc_app_code((insts + 4) * 8)?;
+/// Assembles the transaction prologue (`xbegin` + faulting divide), the
+/// gate body `chain`, and the closing `xend` + abort handler. Returns the
+/// entry pc and the program fragment; nothing touches a machine.
+fn emit_tx(lay: &mut Layout, chain: &[Inst]) -> Result<(u64, ProgramUnit)> {
+    let base = lay.alloc_app_code((chain.len() as u64 + 4) * 8)?;
     let mut a = Assembler::new(base);
     a.xbegin("handler");
     a.push(Inst::Div {
@@ -54,7 +53,9 @@ fn emit_tx(
         a: R_TRASH,
         b: Operand::Imm(0),
     });
-    chain(&mut a);
+    for &inst in chain {
+        a.push(inst);
+    }
     a.push(Inst::Xend); // unreachable: the fault always aborts
     a.label("handler")?;
     a.push(Inst::Halt);
@@ -71,856 +72,222 @@ fn emit_tx(
     ))
 }
 
-/// Emits `*(reg + ADDR(out))` — the output-setting dereference.
-fn emit_deref(a: &mut Assembler, src: u8, tmp: u8, out: u64) {
-    a.push(Inst::Alu {
+/// `dst := *addr` — loading an input register's value (0).
+fn load(dst: u8, addr: u64) -> Inst {
+    Inst::Load {
+        dst,
+        addr: addr as u32,
+    }
+}
+
+/// `dst := a + b` — combining two loaded values so the next dereference
+/// depends on both.
+fn add(dst: u8, a: u8, b: u8) -> Inst {
+    Inst::Alu {
         op: AluOp::Add,
-        dst: tmp,
-        a: src,
-        b: Operand::Imm(out as u32),
-    });
-    a.push(Inst::LoadInd {
-        dst: R_TRASH,
-        base: tmp,
-        offset: 0,
-    });
-}
-
-/// Writes a DC-WR input: touch = 1, flush = 0.
-fn set_dc<S: Substrate + ?Sized>(s: &mut S, addr: u64, bit: bool) {
-    if bit {
-        s.timed_read(addr);
-    } else {
-        s.flush_addr(addr);
+        dst,
+        a,
+        b: Operand::Reg(b),
     }
 }
 
-fn read_out<S: Substrate + ?Sized>(s: &mut S, out: u64) -> GateReading {
-    let delay = s.timed_read_tsc(out);
-    GateReading {
-        bit: delay < READ_THRESHOLD,
-        delay,
-    }
+/// `*(src + ADDR(out))` — the output-setting dereference.
+fn deref(src: u8, tmp: u8, out: u64) -> [Inst; 2] {
+    [
+        Inst::Alu {
+            op: AluOp::Add,
+            dst: tmp,
+            a: src,
+            b: Operand::Imm(out as u32),
+        },
+        Inst::LoadInd {
+            dst: R_TRASH,
+            base: tmp,
+            offset: 0,
+        },
+    ]
 }
 
-/// The TSX `ASSIGN` gate: `out := in`.
+/// A single-transaction TSX gate: `ASSIGN` (`*(*in + ADDR(out))`), `AND`
+/// (`*(*a + *b + ADDR(out))`), `OR` (two assignment chains into one
+/// output), the Figure 3 `AND_OR` (both at once, AND output first) or
+/// `NOT`.
 ///
-/// The minimal weird gate — a single dependent dereference racing the
-/// post-fault window. Also the WR-to-WR transfer primitive that makes
-/// circuits possible (§4).
+/// `NOT` is our construction (the paper uses a NOT inside its XOR but
+/// does not spell it out): the output is *pre-set to 1* and a speculative
+/// `flush [*in + ADDR(out)]` only issues if the input loads in time, so
+/// `out = !in`.
 ///
 /// # Examples
 ///
 /// ```
-/// use uwm_core::gate::tsx::TsxAssign;
+/// use uwm_core::gate::tsx::TsxGate;
+/// use uwm_core::gate::{GateKind, WeirdGate};
 /// use uwm_core::layout::Layout;
 /// use uwm_sim::machine::{Machine, MachineConfig};
 ///
 /// let mut m = Machine::new(MachineConfig::quiet(), 0);
 /// let mut lay = Layout::new(m.predictor().alias_stride());
-/// let gate = TsxAssign::build(&mut m, &mut lay).unwrap();
-/// assert!(gate.execute(&mut m, true));
-/// assert!(!gate.execute(&mut m, false));
+/// let gate = TsxGate::spec(GateKind::TxAssign, &mut lay).unwrap().instantiate(&mut m);
+/// assert!(gate.execute(&mut m, &[true]).unwrap());
+/// assert!(!gate.execute(&mut m, &[false]).unwrap());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TsxAssign {
+pub struct TsxGate {
+    kind: GateKind,
     pc: u64,
-    input: u64,
-    out: u64,
+    /// Input registers; the first `kind.arity()` are wired.
+    ins: [u64; 2],
+    /// Output registers; the first `kind.outputs()` are wired.
+    outs: [u64; 2],
 }
 
-impl TsxAssign {
-    /// Describes the gate with freshly allocated input/output registers.
+impl TsxGate {
+    /// Describes a `kind` gate with freshly allocated input registers,
+    /// then output registers.
     ///
     /// # Errors
     ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn spec(lay: &mut Layout) -> Result<GateSpec<Self>> {
-        let input = lay.alloc_var()?;
-        let out = lay.alloc_var()?;
-        Self::spec_wired(lay, input, out)
+    /// Fails with [`CoreError::Wiring`] when `kind` is not a
+    /// single-transaction TSX kind, and on layout exhaustion or assembly
+    /// error.
+    pub fn spec(kind: GateKind, lay: &mut Layout) -> Result<GateSpec<Self>> {
+        let n = kind.arity();
+        let mut regs = [0; 5]; // room for any kind's registers: 4 in + 1 out
+        let regs = &mut regs[..n + kind.outputs()];
+        for r in regs.iter_mut() {
+            *r = lay.alloc_var()?;
+        }
+        Self::spec_wired(kind, lay, &regs[..n], &regs[n..])
     }
 
-    /// Describes the gate over existing registers (circuit wiring).
+    /// Describes a `kind` gate over existing registers (circuit wiring).
     ///
     /// # Errors
     ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn spec_wired(lay: &mut Layout, input: u64, out: u64) -> Result<GateSpec<Self>> {
-        let (pc, unit) = emit_tx(lay, 3, |a| {
-            a.push(Inst::Load {
-                dst: R_A,
-                addr: input as u32,
-            });
-            emit_deref(a, R_A, R_T0, out);
-        })?;
-        Ok(GateSpec::new(Self { pc, input, out }, vec![unit]))
-    }
-
-    /// Builds and instantiates in one step.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn build<S: Substrate + ?Sized>(s: &mut S, lay: &mut Layout) -> Result<Self> {
-        Ok(Self::spec(lay)?.instantiate(s))
-    }
-
-    /// Builds and instantiates over existing registers.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn build_wired<S: Substrate + ?Sized>(
-        s: &mut S,
-        lay: &mut Layout,
-        input: u64,
-        out: u64,
-    ) -> Result<Self> {
-        Ok(Self::spec_wired(lay, input, out)?.instantiate(s))
-    }
-
-    /// Input register address.
-    pub fn input(&self) -> u64 {
-        self.input
-    }
-
-    /// Output register address.
-    pub fn out(&self) -> u64 {
-        self.out
-    }
-
-    /// Initializes the output register to 0 (flush).
-    pub fn prepare<S: Substrate + ?Sized>(&self, s: &mut S) {
-        s.flush_addr(self.out);
-    }
-
-    /// Runs the transaction only — inputs/outputs untouched.
-    pub fn activate<S: Substrate + ?Sized>(&self, s: &mut S) {
-        s.run_at(self.pc);
-    }
-
-    /// Full protocol with an explicit input bit.
-    pub fn execute<S: Substrate + ?Sized>(&self, s: &mut S, input: bool) -> bool {
-        self.execute_reading(s, input).bit
-    }
-
-    /// Full protocol, reporting the raw output-read delay.
-    pub fn execute_reading<S: Substrate + ?Sized>(&self, s: &mut S, input: bool) -> GateReading {
-        self.prepare(s);
-        set_dc(s, self.input, input);
-        self.activate(s);
-        read_out(s, self.out)
-    }
-}
-
-impl TsxAssign {
-    /// Entry pc of the gate's transaction (circuit-plan compilation).
-    pub fn entry_pc(&self) -> u64 {
-        self.pc
-    }
-}
-
-impl WeirdGate for TsxAssign {
-    fn name(&self) -> &'static str {
-        "TSX_ASSIGN"
-    }
-
-    fn arity(&self) -> usize {
-        1
-    }
-
-    fn truth(&self, inputs: &[bool]) -> bool {
-        inputs[0]
-    }
-
-    fn execute_timed(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<GateReading> {
-        check_arity(self.name(), 1, inputs)?;
-        Ok(self.execute_reading(s, inputs[0]))
-    }
-
-    fn supports_split(&self) -> bool {
-        true
-    }
-
-    fn begin(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<()> {
-        check_arity(self.name(), 1, inputs)?;
-        self.prepare(s);
-        set_dc(s, self.input, inputs[0]);
-        Ok(())
-    }
-
-    fn activate_read(&self, s: &mut dyn Substrate) -> GateReading {
-        self.activate(s);
-        read_out(s, self.out)
-    }
-}
-
-/// The TSX `AND` gate: `out := a & b` via `*(*a + *b + ADDR(out))`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TsxAnd {
-    pc: u64,
-    in_a: u64,
-    in_b: u64,
-    out: u64,
-}
-
-impl TsxAnd {
-    /// Describes the gate with freshly allocated registers.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn spec(lay: &mut Layout) -> Result<GateSpec<Self>> {
-        let in_a = lay.alloc_var()?;
-        let in_b = lay.alloc_var()?;
-        let out = lay.alloc_var()?;
-        Self::spec_wired(lay, in_a, in_b, out)
-    }
-
-    /// Describes the gate over existing registers (circuit wiring).
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn spec_wired(lay: &mut Layout, in_a: u64, in_b: u64, out: u64) -> Result<GateSpec<Self>> {
-        let (pc, unit) = emit_tx(lay, 5, |a| {
-            a.push(Inst::Load {
-                dst: R_A,
-                addr: in_a as u32,
-            });
-            a.push(Inst::Load {
-                dst: R_B,
-                addr: in_b as u32,
-            });
-            a.push(Inst::Alu {
-                op: AluOp::Add,
-                dst: R_T0,
-                a: R_A,
-                b: Operand::Reg(R_B),
-            });
-            emit_deref(a, R_T0, R_T1, out);
-        })?;
-        Ok(GateSpec::new(
-            Self {
-                pc,
-                in_a,
-                in_b,
-                out,
-            },
-            vec![unit],
-        ))
-    }
-
-    /// Builds and instantiates in one step.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn build<S: Substrate + ?Sized>(s: &mut S, lay: &mut Layout) -> Result<Self> {
-        Ok(Self::spec(lay)?.instantiate(s))
-    }
-
-    /// Builds and instantiates over existing registers.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn build_wired<S: Substrate + ?Sized>(
-        s: &mut S,
-        lay: &mut Layout,
-        in_a: u64,
-        in_b: u64,
-        out: u64,
-    ) -> Result<Self> {
-        Ok(Self::spec_wired(lay, in_a, in_b, out)?.instantiate(s))
-    }
-
-    /// First input register address.
-    pub fn in_a(&self) -> u64 {
-        self.in_a
-    }
-
-    /// Second input register address.
-    pub fn in_b(&self) -> u64 {
-        self.in_b
-    }
-
-    /// Output register address.
-    pub fn out(&self) -> u64 {
-        self.out
-    }
-
-    /// Initializes the output register to 0.
-    pub fn prepare<S: Substrate + ?Sized>(&self, s: &mut S) {
-        s.flush_addr(self.out);
-    }
-
-    /// Runs the transaction only.
-    pub fn activate<S: Substrate + ?Sized>(&self, s: &mut S) {
-        s.run_at(self.pc);
-    }
-
-    /// Full protocol with explicit input bits.
-    pub fn execute<S: Substrate + ?Sized>(&self, s: &mut S, a: bool, b: bool) -> bool {
-        self.execute_reading(s, a, b).bit
-    }
-
-    /// Full protocol, reporting the raw output-read delay.
-    pub fn execute_reading<S: Substrate + ?Sized>(
-        &self,
-        s: &mut S,
-        a: bool,
-        b: bool,
-    ) -> GateReading {
-        self.prepare(s);
-        set_dc(s, self.in_a, a);
-        set_dc(s, self.in_b, b);
-        self.activate(s);
-        read_out(s, self.out)
-    }
-}
-
-impl TsxAnd {
-    /// Entry pc of the gate's transaction (circuit-plan compilation).
-    pub fn entry_pc(&self) -> u64 {
-        self.pc
-    }
-}
-
-impl WeirdGate for TsxAnd {
-    fn name(&self) -> &'static str {
-        "TSX_AND"
-    }
-
-    fn arity(&self) -> usize {
-        2
-    }
-
-    fn truth(&self, inputs: &[bool]) -> bool {
-        inputs[0] & inputs[1]
-    }
-
-    fn execute_timed(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<GateReading> {
-        check_arity(self.name(), 2, inputs)?;
-        Ok(self.execute_reading(s, inputs[0], inputs[1]))
-    }
-
-    fn supports_split(&self) -> bool {
-        true
-    }
-
-    fn begin(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<()> {
-        check_arity(self.name(), 2, inputs)?;
-        self.prepare(s);
-        set_dc(s, self.in_a, inputs[0]);
-        set_dc(s, self.in_b, inputs[1]);
-        Ok(())
-    }
-
-    fn activate_read(&self, s: &mut dyn Substrate) -> GateReading {
-        self.activate(s);
-        read_out(s, self.out)
-    }
-}
-
-/// The TSX `OR` gate: two independent assignment chains into one output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TsxOr {
-    pc: u64,
-    in_a: u64,
-    in_b: u64,
-    out: u64,
-}
-
-impl TsxOr {
-    /// Describes the gate with freshly allocated registers.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn spec(lay: &mut Layout) -> Result<GateSpec<Self>> {
-        let in_a = lay.alloc_var()?;
-        let in_b = lay.alloc_var()?;
-        let out = lay.alloc_var()?;
-        Self::spec_wired(lay, in_a, in_b, out)
-    }
-
-    /// Describes the gate over existing registers (circuit wiring).
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn spec_wired(lay: &mut Layout, in_a: u64, in_b: u64, out: u64) -> Result<GateSpec<Self>> {
-        let (pc, unit) = emit_tx(lay, 6, |a| {
-            a.push(Inst::Load {
-                dst: R_A,
-                addr: in_a as u32,
-            });
-            a.push(Inst::Load {
-                dst: R_B,
-                addr: in_b as u32,
-            });
-            emit_deref(a, R_A, R_T0, out);
-            emit_deref(a, R_B, R_T1, out);
-        })?;
-        Ok(GateSpec::new(
-            Self {
-                pc,
-                in_a,
-                in_b,
-                out,
-            },
-            vec![unit],
-        ))
-    }
-
-    /// Builds and instantiates in one step.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn build<S: Substrate + ?Sized>(s: &mut S, lay: &mut Layout) -> Result<Self> {
-        Ok(Self::spec(lay)?.instantiate(s))
-    }
-
-    /// Builds and instantiates over existing registers.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn build_wired<S: Substrate + ?Sized>(
-        s: &mut S,
-        lay: &mut Layout,
-        in_a: u64,
-        in_b: u64,
-        out: u64,
-    ) -> Result<Self> {
-        Ok(Self::spec_wired(lay, in_a, in_b, out)?.instantiate(s))
-    }
-
-    /// First input register address.
-    pub fn in_a(&self) -> u64 {
-        self.in_a
-    }
-
-    /// Second input register address.
-    pub fn in_b(&self) -> u64 {
-        self.in_b
-    }
-
-    /// Output register address.
-    pub fn out(&self) -> u64 {
-        self.out
-    }
-
-    /// Initializes the output register to 0.
-    pub fn prepare<S: Substrate + ?Sized>(&self, s: &mut S) {
-        s.flush_addr(self.out);
-    }
-
-    /// Runs the transaction only.
-    pub fn activate<S: Substrate + ?Sized>(&self, s: &mut S) {
-        s.run_at(self.pc);
-    }
-
-    /// Full protocol with explicit input bits.
-    pub fn execute<S: Substrate + ?Sized>(&self, s: &mut S, a: bool, b: bool) -> bool {
-        self.execute_reading(s, a, b).bit
-    }
-
-    /// Full protocol, reporting the raw output-read delay.
-    pub fn execute_reading<S: Substrate + ?Sized>(
-        &self,
-        s: &mut S,
-        a: bool,
-        b: bool,
-    ) -> GateReading {
-        self.prepare(s);
-        set_dc(s, self.in_a, a);
-        set_dc(s, self.in_b, b);
-        self.activate(s);
-        read_out(s, self.out)
-    }
-}
-
-impl TsxOr {
-    /// Entry pc of the gate's transaction (circuit-plan compilation).
-    pub fn entry_pc(&self) -> u64 {
-        self.pc
-    }
-}
-
-impl WeirdGate for TsxOr {
-    fn name(&self) -> &'static str {
-        "TSX_OR"
-    }
-
-    fn arity(&self) -> usize {
-        2
-    }
-
-    fn truth(&self, inputs: &[bool]) -> bool {
-        inputs[0] | inputs[1]
-    }
-
-    fn execute_timed(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<GateReading> {
-        check_arity(self.name(), 2, inputs)?;
-        Ok(self.execute_reading(s, inputs[0], inputs[1]))
-    }
-
-    fn supports_split(&self) -> bool {
-        true
-    }
-
-    fn begin(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<()> {
-        check_arity(self.name(), 2, inputs)?;
-        self.prepare(s);
-        set_dc(s, self.in_a, inputs[0]);
-        set_dc(s, self.in_b, inputs[1]);
-        Ok(())
-    }
-
-    fn activate_read(&self, s: &mut dyn Substrate) -> GateReading {
-        self.activate(s);
-        read_out(s, self.out)
-    }
-}
-
-/// The combined `AND`/`OR` circuit of Figure 3: one transaction computing
-/// `out_and := a & b` **and** `out_or := a | b` simultaneously.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TsxAndOr {
-    pc: u64,
-    in_a: u64,
-    in_b: u64,
-    out_and: u64,
-    out_or: u64,
-}
-
-impl TsxAndOr {
-    /// Describes the circuit with freshly allocated registers.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn spec(lay: &mut Layout) -> Result<GateSpec<Self>> {
-        let in_a = lay.alloc_var()?;
-        let in_b = lay.alloc_var()?;
-        let out_and = lay.alloc_var()?;
-        let out_or = lay.alloc_var()?;
-        Self::spec_wired(lay, in_a, in_b, out_and, out_or)
-    }
-
-    /// Describes the circuit over existing registers.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
+    /// Fails with [`CoreError::Wiring`] when `kind` is not a
+    /// single-transaction TSX kind or the register counts do not match its
+    /// inputs and outputs, and on layout exhaustion or assembly error.
     pub fn spec_wired(
+        kind: GateKind,
         lay: &mut Layout,
-        in_a: u64,
-        in_b: u64,
-        out_and: u64,
-        out_or: u64,
+        ins: &[u64],
+        outs: &[u64],
     ) -> Result<GateSpec<Self>> {
-        let (pc, unit) = emit_tx(lay, 9, |a| {
-            a.push(Inst::Load {
-                dst: R_A,
-                addr: in_a as u32,
-            });
-            a.push(Inst::Load {
-                dst: R_B,
-                addr: in_b as u32,
-            });
-            emit_deref(a, R_A, R_T0, out_or); // d3 := d0
-            emit_deref(a, R_B, R_T1, out_or); // d3 := d1
-            a.push(Inst::Alu {
-                op: AluOp::Add,
-                dst: R_T2,
-                a: R_A,
-                b: Operand::Reg(R_B),
-            });
-            emit_deref(a, R_T2, R_T2, out_and); // d2 := d0 & d1
-        })?;
-        Ok(GateSpec::new(
-            Self {
-                pc,
-                in_a,
-                in_b,
-                out_and,
-                out_or,
-            },
-            vec![unit],
-        ))
-    }
-
-    /// Builds and instantiates in one step.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn build<S: Substrate + ?Sized>(s: &mut S, lay: &mut Layout) -> Result<Self> {
-        Ok(Self::spec(lay)?.instantiate(s))
-    }
-
-    /// Builds and instantiates over existing registers.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn build_wired<S: Substrate + ?Sized>(
-        s: &mut S,
-        lay: &mut Layout,
-        in_a: u64,
-        in_b: u64,
-        out_and: u64,
-        out_or: u64,
-    ) -> Result<Self> {
-        Ok(Self::spec_wired(lay, in_a, in_b, out_and, out_or)?.instantiate(s))
-    }
-
-    /// First input register address.
-    pub fn in_a(&self) -> u64 {
-        self.in_a
-    }
-
-    /// Second input register address.
-    pub fn in_b(&self) -> u64 {
-        self.in_b
-    }
-
-    /// AND-output register address.
-    pub fn out_and(&self) -> u64 {
-        self.out_and
-    }
-
-    /// OR-output register address.
-    pub fn out_or(&self) -> u64 {
-        self.out_or
-    }
-
-    /// Initializes both output registers to 0.
-    pub fn prepare<S: Substrate + ?Sized>(&self, s: &mut S) {
-        s.flush_addr(self.out_and);
-        s.flush_addr(self.out_or);
-    }
-
-    /// Runs the transaction only.
-    pub fn activate<S: Substrate + ?Sized>(&self, s: &mut S) {
-        s.run_at(self.pc);
-    }
-
-    /// Full protocol; returns `(a & b, a | b)`.
-    pub fn execute<S: Substrate + ?Sized>(&self, s: &mut S, a: bool, b: bool) -> (bool, bool) {
-        let (and, or) = self.execute_readings(s, a, b);
-        (and.bit, or.bit)
-    }
-
-    /// Full protocol, reporting both raw output-read delays.
-    pub fn execute_readings<S: Substrate + ?Sized>(
-        &self,
-        s: &mut S,
-        a: bool,
-        b: bool,
-    ) -> (GateReading, GateReading) {
-        self.prepare(s);
-        set_dc(s, self.in_a, a);
-        set_dc(s, self.in_b, b);
-        self.activate(s);
-        (read_out(s, self.out_and), read_out(s, self.out_or))
-    }
-}
-
-impl TsxAndOr {
-    /// Entry pc of the gate's transaction (circuit-plan compilation).
-    pub fn entry_pc(&self) -> u64 {
-        self.pc
-    }
-}
-
-impl WeirdGate for TsxAndOr {
-    fn name(&self) -> &'static str {
-        "TSX_AND_OR"
-    }
-
-    fn arity(&self) -> usize {
-        2
-    }
-
-    /// Truth of the AND output (the generic interface exposes one output;
-    /// use [`TsxAndOr::execute`] for both).
-    fn truth(&self, inputs: &[bool]) -> bool {
-        inputs[0] & inputs[1]
-    }
-
-    fn execute_timed(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<GateReading> {
-        check_arity(self.name(), 2, inputs)?;
-        let (and, _) = self.execute_readings(s, inputs[0], inputs[1]);
-        Ok(and)
-    }
-
-    fn supports_split(&self) -> bool {
-        true
-    }
-
-    fn begin(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<()> {
-        check_arity(self.name(), 2, inputs)?;
-        self.prepare(s);
-        set_dc(s, self.in_a, inputs[0]);
-        set_dc(s, self.in_b, inputs[1]);
-        Ok(())
-    }
-
-    /// Reads the AND output; the OR line is left for the caller, matching
-    /// [`WeirdGate::execute_timed`]'s single-output view.
-    fn activate_read(&self, s: &mut dyn Substrate) -> GateReading {
-        self.activate(s);
-        read_out(s, self.out_and)
-    }
-}
-
-/// The TSX `NOT` gate: a speculative `clflush` with an address dependency
-/// on the input.
-///
-/// The output is *pre-set to 1*; `flush [*in + ADDR(out)]` only issues if
-/// the input loads in time, so `out = !in`. (Our construction — the paper
-/// uses a NOT inside its XOR but does not spell it out.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TsxNot {
-    pc: u64,
-    input: u64,
-    out: u64,
-}
-
-impl TsxNot {
-    /// Describes the gate with freshly allocated registers.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn spec(lay: &mut Layout) -> Result<GateSpec<Self>> {
-        let input = lay.alloc_var()?;
-        let out = lay.alloc_var()?;
-        Self::spec_wired(lay, input, out)
-    }
-
-    /// Describes the gate over existing registers.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn spec_wired(lay: &mut Layout, input: u64, out: u64) -> Result<GateSpec<Self>> {
-        let (pc, unit) = emit_tx(lay, 2, |a| {
-            a.push(Inst::Load {
-                dst: R_A,
-                addr: input as u32,
-            });
-            a.push(Inst::FlushInd {
+        if kind == GateKind::TxXor
+            || !kind.is_tsx()
+            || ins.len() != kind.arity()
+            || outs.len() != kind.outputs()
+        {
+            return Err(CoreError::Wiring { gate: kind.name() });
+        }
+        let mut chain = Vec::with_capacity(9);
+        chain.push(load(R_A, ins[0]));
+        if let Some(&b) = ins.get(1) {
+            chain.push(load(R_B, b));
+        }
+        match kind {
+            GateKind::TxAssign => chain.extend(deref(R_A, R_T0, outs[0])),
+            GateKind::TxNot => chain.push(Inst::FlushInd {
                 base: R_A,
-                offset: out as u32,
-            });
-        })?;
-        Ok(GateSpec::new(Self { pc, input, out }, vec![unit]))
+                offset: outs[0] as u32,
+            }),
+            GateKind::TxAnd => {
+                chain.push(add(R_T0, R_A, R_B));
+                chain.extend(deref(R_T0, R_T1, outs[0]));
+            }
+            GateKind::TxOr => {
+                chain.extend(deref(R_A, R_T0, outs[0]));
+                chain.extend(deref(R_B, R_T1, outs[0]));
+            }
+            _ => {
+                // AND_OR (Figure 3): d3 := d0; d3 := d1; d2 := d0 & d1.
+                chain.extend(deref(R_A, R_T0, outs[1]));
+                chain.extend(deref(R_B, R_T1, outs[1]));
+                chain.push(add(R_T2, R_A, R_B));
+                chain.extend(deref(R_T2, R_T2, outs[0]));
+            }
+        }
+        let (pc, unit) = emit_tx(lay, &chain)?;
+        let mut gate = Self {
+            kind,
+            pc,
+            ins: [0; 2],
+            outs: [0; 2],
+        };
+        gate.ins[..ins.len()].copy_from_slice(ins);
+        gate.outs[..outs.len()].copy_from_slice(outs);
+        Ok(GateSpec::new(gate, vec![unit]))
     }
 
-    /// Builds and instantiates in one step.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn build<S: Substrate + ?Sized>(s: &mut S, lay: &mut Layout) -> Result<Self> {
-        Ok(Self::spec(lay)?.instantiate(s))
+    /// Input register addresses.
+    pub fn ins(&self) -> &[u64] {
+        &self.ins[..self.kind.arity()]
     }
 
-    /// Builds and instantiates over existing registers.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn build_wired<S: Substrate + ?Sized>(
-        s: &mut S,
-        lay: &mut Layout,
-        input: u64,
-        out: u64,
-    ) -> Result<Self> {
-        Ok(Self::spec_wired(lay, input, out)?.instantiate(s))
+    /// Output register addresses (`AND_OR`: the AND output, then the OR).
+    pub fn outs(&self) -> &[u64] {
+        &self.outs[..self.kind.outputs()]
     }
 
-    /// Input register address.
-    pub fn input(&self) -> u64 {
-        self.input
-    }
-
-    /// Output register address.
-    pub fn out(&self) -> u64 {
-        self.out
-    }
-
-    /// Initializes the output register to **1** (touch) — the inverted
-    /// default this gate requires.
-    pub fn prepare<S: Substrate + ?Sized>(&self, s: &mut S) {
-        s.timed_read(self.out);
-    }
-
-    /// Runs the transaction only.
-    pub fn activate<S: Substrate + ?Sized>(&self, s: &mut S) {
-        s.run_at(self.pc);
-    }
-
-    /// Full protocol with an explicit input bit.
-    pub fn execute<S: Substrate + ?Sized>(&self, s: &mut S, input: bool) -> bool {
-        self.execute_reading(s, input).bit
-    }
-
-    /// Full protocol, reporting the raw output-read delay.
-    pub fn execute_reading<S: Substrate + ?Sized>(&self, s: &mut S, input: bool) -> GateReading {
-        self.prepare(s);
-        set_dc(s, self.input, input);
-        self.activate(s);
-        read_out(s, self.out)
-    }
-}
-
-impl TsxNot {
     /// Entry pc of the gate's transaction (circuit-plan compilation).
     pub fn entry_pc(&self) -> u64 {
         self.pc
     }
+
+    /// Initializes the outputs: flushed to 0, or touched to 1 for `NOT`.
+    pub fn prepare<S: Substrate + ?Sized>(&self, s: &mut S) {
+        for &out in self.outs() {
+            set_dc(s, out, self.kind.presets_output());
+        }
+    }
+
+    /// Runs the transaction only — inputs and outputs untouched.
+    pub fn activate<S: Substrate + ?Sized>(&self, s: &mut S) {
+        s.run_at(self.pc);
+    }
+
+    /// Like [`WeirdGate::execute_timed`], but reads every output in order
+    /// (`AND_OR`: `[a & b, a | b]`, both measured by Table 6).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Arity`] when `inputs.len()` is not the arity.
+    pub fn execute_readings(
+        &self,
+        s: &mut dyn Substrate,
+        inputs: &[bool],
+    ) -> Result<Vec<GateReading>> {
+        self.begin(s, inputs)?;
+        self.activate(s);
+        Ok(self.outs().iter().map(|&out| read_out(s, out)).collect())
+    }
 }
 
-impl WeirdGate for TsxNot {
-    fn name(&self) -> &'static str {
-        "TSX_NOT"
-    }
-
-    fn arity(&self) -> usize {
-        1
-    }
-
-    fn truth(&self, inputs: &[bool]) -> bool {
-        !inputs[0]
-    }
-
-    fn execute_timed(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<GateReading> {
-        check_arity(self.name(), 1, inputs)?;
-        Ok(self.execute_reading(s, inputs[0]))
-    }
-
-    fn supports_split(&self) -> bool {
-        true
+impl WeirdGate for TsxGate {
+    fn kind(&self) -> GateKind {
+        self.kind
     }
 
     fn begin(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<()> {
-        check_arity(self.name(), 1, inputs)?;
+        check_arity(self.kind, inputs)?;
         self.prepare(s);
-        set_dc(s, self.input, inputs[0]);
+        for (&addr, &bit) in self.ins().iter().zip(inputs) {
+            set_dc(s, addr, bit);
+        }
         Ok(())
     }
 
+    /// Activates and reads every output in order, reporting the first:
+    /// `AND_OR`'s single-output view is its AND output, and its OR output
+    /// is read right after.
     fn activate_read(&self, s: &mut dyn Substrate) -> GateReading {
         self.activate(s);
-        read_out(s, self.out)
+        let first = read_out(s, self.outs[0]);
+        if let [_, or] = self.outs() {
+            read_out(s, *or);
+        }
+        first
     }
 }
 
@@ -932,9 +299,8 @@ impl WeirdGate for TsxNot {
 /// one-time-pad decode runs on (§5.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TsxXor {
-    and_or: TsxAndOr,
-    not: TsxNot,
-    and2: TsxAnd,
+    /// `AND_OR`, `NOT`, `AND`, in dataflow order.
+    txs: [TsxGate; 3],
 }
 
 impl TsxXor {
@@ -960,121 +326,61 @@ impl TsxXor {
         let d_and = lay.alloc_var()?;
         let d_or = lay.alloc_var()?;
         let d_not = lay.alloc_var()?;
-        let and_or = TsxAndOr::spec_wired(lay, in_a, in_b, d_and, d_or)?;
-        let not = TsxNot::spec_wired(lay, d_and, d_not)?;
-        let and2 = TsxAnd::spec_wired(lay, d_or, d_not, out)?;
-        Ok(and_or
-            .zip(not, |and_or, not| (and_or, not))
-            .zip(and2, |(and_or, not), and2| Self { and_or, not, and2 }))
+        let mut units = Vec::new();
+        let mut tx = |kind, ins: &[u64], outs: &[u64]| -> Result<TsxGate> {
+            Ok(TsxGate::spec_wired(kind, lay, ins, outs)?.into_gate(&mut units))
+        };
+        let txs = [
+            tx(GateKind::TxAndOr, &[in_a, in_b], &[d_and, d_or])?,
+            tx(GateKind::TxNot, &[d_and], &[d_not])?,
+            tx(GateKind::TxAnd, &[d_or, d_not], &[out])?,
+        ];
+        Ok(GateSpec::new(Self { txs }, units))
     }
 
-    /// Builds and instantiates in one step.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn build<S: Substrate + ?Sized>(s: &mut S, lay: &mut Layout) -> Result<Self> {
-        Ok(Self::spec(lay)?.instantiate(s))
-    }
-
-    /// Builds and instantiates over existing input/output registers.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn build_wired<S: Substrate + ?Sized>(
-        s: &mut S,
-        lay: &mut Layout,
-        in_a: u64,
-        in_b: u64,
-        out: u64,
-    ) -> Result<Self> {
-        Ok(Self::spec_wired(lay, in_a, in_b, out)?.instantiate(s))
-    }
-
-    /// First input register address.
-    pub fn in_a(&self) -> u64 {
-        self.and_or.in_a()
-    }
-
-    /// Second input register address.
-    pub fn in_b(&self) -> u64 {
-        self.and_or.in_b()
+    /// Input register addresses.
+    pub fn ins(&self) -> &[u64] {
+        self.txs[0].ins()
     }
 
     /// Output register address.
     pub fn out(&self) -> u64 {
-        self.and2.out()
+        self.txs[2].outs[0]
     }
 
     /// Initializes all outputs and intermediates.
     pub fn prepare<S: Substrate + ?Sized>(&self, s: &mut S) {
-        self.and_or.prepare(s);
-        self.not.prepare(s);
-        self.and2.prepare(s);
+        for tx in &self.txs {
+            tx.prepare(s);
+        }
     }
 
     /// Activates the three transactions in dataflow order. All
     /// intermediate values live only in cache state.
     pub fn activate<S: Substrate + ?Sized>(&self, s: &mut S) {
-        self.and_or.activate(s);
-        self.not.activate(s);
-        self.and2.activate(s);
-    }
-
-    /// Full protocol with explicit input bits.
-    pub fn execute<S: Substrate + ?Sized>(&self, s: &mut S, a: bool, b: bool) -> bool {
-        self.execute_reading(s, a, b).bit
-    }
-
-    /// Full protocol, reporting the raw output-read delay.
-    pub fn execute_reading<S: Substrate + ?Sized>(
-        &self,
-        s: &mut S,
-        a: bool,
-        b: bool,
-    ) -> GateReading {
-        self.prepare(s);
-        set_dc(s, self.and_or.in_a(), a);
-        set_dc(s, self.and_or.in_b(), b);
-        self.activate(s);
-        read_out(s, self.and2.out())
+        for tx in &self.txs {
+            tx.activate(s);
+        }
     }
 }
 
 impl WeirdGate for TsxXor {
-    fn name(&self) -> &'static str {
-        "TSX_XOR"
-    }
-
-    fn arity(&self) -> usize {
-        2
-    }
-
-    fn truth(&self, inputs: &[bool]) -> bool {
-        inputs[0] ^ inputs[1]
-    }
-
-    fn execute_timed(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<GateReading> {
-        check_arity(self.name(), 2, inputs)?;
-        Ok(self.execute_reading(s, inputs[0], inputs[1]))
-    }
-
-    fn supports_split(&self) -> bool {
-        true
+    fn kind(&self) -> GateKind {
+        GateKind::TxXor
     }
 
     fn begin(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<()> {
-        check_arity(self.name(), 2, inputs)?;
+        check_arity(GateKind::TxXor, inputs)?;
         self.prepare(s);
-        set_dc(s, self.and_or.in_a(), inputs[0]);
-        set_dc(s, self.and_or.in_b(), inputs[1]);
+        for (&addr, &bit) in self.ins().iter().zip(inputs) {
+            set_dc(s, addr, bit);
+        }
         Ok(())
     }
 
     fn activate_read(&self, s: &mut dyn Substrate) -> GateReading {
         self.activate(s);
-        read_out(s, self.and2.out())
+        read_out(s, self.out())
     }
 }
 
@@ -1092,58 +398,84 @@ mod tests {
         (m, lay)
     }
 
+    fn build(kind: GateKind) -> (Machine, TsxGate) {
+        let (mut m, mut lay) = setup();
+        let g = TsxGate::spec(kind, &mut lay).unwrap().instantiate(&mut m);
+        (m, g)
+    }
+
+    fn truth_table_holds(kind: GateKind) {
+        let (mut m, g) = build(kind);
+        assert_eq!(verify_truth_table(&g, &mut m).unwrap(), None, "{kind:?}");
+    }
+
     #[test]
     fn assign_truth_table() {
-        let (mut m, mut lay) = setup();
-        let g = TsxAssign::build(&mut m, &mut lay).unwrap();
-        assert_eq!(verify_truth_table(&g, &mut m).unwrap(), None);
+        truth_table_holds(GateKind::TxAssign);
     }
 
     #[test]
     fn and_truth_table() {
-        let (mut m, mut lay) = setup();
-        let g = TsxAnd::build(&mut m, &mut lay).unwrap();
-        assert_eq!(verify_truth_table(&g, &mut m).unwrap(), None);
+        truth_table_holds(GateKind::TxAnd);
     }
 
     #[test]
     fn or_truth_table() {
-        let (mut m, mut lay) = setup();
-        let g = TsxOr::build(&mut m, &mut lay).unwrap();
-        assert_eq!(verify_truth_table(&g, &mut m).unwrap(), None);
+        truth_table_holds(GateKind::TxOr);
     }
 
     #[test]
     fn not_truth_table() {
-        let (mut m, mut lay) = setup();
-        let g = TsxNot::build(&mut m, &mut lay).unwrap();
-        assert_eq!(verify_truth_table(&g, &mut m).unwrap(), None);
+        truth_table_holds(GateKind::TxNot);
     }
 
     #[test]
     fn xor_truth_table() {
         let (mut m, mut lay) = setup();
-        let g = TsxXor::build(&mut m, &mut lay).unwrap();
+        let g = TsxXor::spec(&mut lay).unwrap().instantiate(&mut m);
         assert_eq!(verify_truth_table(&g, &mut m).unwrap(), None);
     }
 
     #[test]
     fn and_or_computes_both_outputs() {
-        let (mut m, mut lay) = setup();
-        let g = TsxAndOr::build(&mut m, &mut lay).unwrap();
+        let (mut m, g) = build(GateKind::TxAndOr);
+        assert_eq!(verify_truth_table(&g, &mut m).unwrap(), None);
         for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
-            assert_eq!(g.execute(&mut m, a, b), (a & b, a | b), "inputs ({a},{b})");
+            let bits: Vec<bool> = g
+                .execute_readings(&mut m, &[a, b])
+                .unwrap()
+                .iter()
+                .map(|r| r.bit)
+                .collect();
+            assert_eq!(bits, [a & b, a | b], "inputs ({a},{b})");
         }
+    }
+
+    /// Only the single-transaction TSX kinds build as a `TsxGate`, and
+    /// only over as many registers as the kind has inputs and outputs.
+    #[test]
+    fn wrong_kind_or_wiring_is_rejected() {
+        let (_m, mut lay) = setup();
+        for kind in [GateKind::And, GateKind::AndAndOr, GateKind::TxXor] {
+            assert_eq!(
+                TsxGate::spec(kind, &mut lay).unwrap_err(),
+                CoreError::Wiring { gate: kind.name() }
+            );
+        }
+        assert!(matches!(
+            TsxGate::spec_wired(GateKind::TxAnd, &mut lay, &[0x100], &[0x140]),
+            Err(CoreError::Wiring { gate: "TSX_AND" })
+        ));
     }
 
     #[test]
     fn gates_are_reusable() {
         let (mut m, mut lay) = setup();
-        let g = TsxXor::build(&mut m, &mut lay).unwrap();
+        let g = TsxXor::spec(&mut lay).unwrap().instantiate(&mut m);
         for i in 0..100 {
             let a = (i >> 1) % 2 == 0;
             let b = i % 2 == 0;
-            assert_eq!(g.execute(&mut m, a, b), a ^ b, "iteration {i}");
+            assert_eq!(g.execute(&mut m, &[a, b]).unwrap(), a ^ b, "iteration {i}");
         }
     }
 
@@ -1154,7 +486,7 @@ mod tests {
     #[test]
     fn same_spec_instantiates_on_both_backends() {
         let mut lay = Layout::new(crate::substrate::flat::DEFAULT_ALIAS_STRIDE);
-        let spec = TsxAnd::spec(&mut lay).unwrap();
+        let spec = TsxGate::spec(GateKind::TxAnd, &mut lay).unwrap();
 
         let mut m = Machine::new(MachineConfig::quiet(), 0);
         let g_sim = spec.instantiate(&mut m);
@@ -1165,7 +497,7 @@ mod tests {
         assert_eq!(g_sim, g_flat, "specs bind the same wiring everywhere");
         for (a, b) in [(false, false), (false, true), (true, false)] {
             assert!(
-                g_flat.execute(&mut f, a, b),
+                g_flat.execute(&mut f, &[a, b]).unwrap(),
                 "flat backend always reads hit-like: gate output degenerates to 1"
             );
         }
@@ -1175,11 +507,8 @@ mod tests {
     /// the analyzer sees only `xbegin` + abort; the chain never commits.
     #[test]
     fn aborted_gate_body_is_architecturally_invisible() {
-        let (mut m, mut lay) = setup();
-        let g = TsxAnd::build(&mut m, &mut lay).unwrap();
-        g.prepare(&mut m);
-        set_dc(&mut m, g.in_a(), true);
-        set_dc(&mut m, g.in_b(), true);
+        let (mut m, g) = build(GateKind::TxAnd);
+        g.begin(&mut m, &[true, true]).unwrap();
         *m.tracer_mut() = Tracer::new();
         g.activate(&mut m);
         let events = m.tracer().events().to_vec();
@@ -1201,12 +530,10 @@ mod tests {
     #[test]
     fn activation_trace_is_input_independent() {
         let (mut m, mut lay) = setup();
-        let g = TsxXor::build(&mut m, &mut lay).unwrap();
+        let g = TsxXor::spec(&mut lay).unwrap().instantiate(&mut m);
         let mut prints = Vec::new();
         for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
-            g.prepare(&mut m);
-            set_dc(&mut m, g.in_a(), a);
-            set_dc(&mut m, g.in_b(), b);
+            g.begin(&mut m, &[a, b]).unwrap();
             *m.tracer_mut() = Tracer::new();
             g.activate(&mut m);
             prints.push(m.tracer().fingerprint());
@@ -1219,14 +546,10 @@ mod tests {
     /// twice in a row still works — no BPU-style retraining needed.
     #[test]
     fn repeated_activation_is_contiguous() {
-        let (mut m, mut lay) = setup();
-        let g = TsxAssign::build(&mut m, &mut lay).unwrap();
-        g.prepare(&mut m);
-        set_dc(&mut m, g.input(), true);
+        let (mut m, g) = build(GateKind::TxAssign);
+        g.begin(&mut m, &[true]).unwrap();
         g.activate(&mut m);
         g.activate(&mut m);
-        g.activate(&mut m);
-        let r = read_out(&mut m, g.out());
-        assert!(r.bit);
+        assert!(g.activate_read(&mut m).bit);
     }
 }

@@ -61,9 +61,9 @@ pub mod prelude {
     };
     pub use crate::error::{CoreError, Result};
     pub use crate::exec::ShardedExecutor;
-    pub use crate::gate::bp::{BpAnd, BpAndAndOr, BpNand, BpOr};
-    pub use crate::gate::tsx::{TsxAnd, TsxAndOr, TsxAssign, TsxNot, TsxOr, TsxXor};
-    pub use crate::gate::{GateReading, GateSpec, ProgramUnit, WeirdGate};
+    pub use crate::gate::bp::BpGate;
+    pub use crate::gate::tsx::{TsxGate, TsxXor};
+    pub use crate::gate::{GateKind, GateReading, GateSpec, ProgramUnit, WeirdGate};
     pub use crate::layout::Layout;
     pub use crate::reg::{BpWr, BtbWr, DcWr, IcWr, MulWr, RobWr, VmxWr, WeirdRegister};
     pub use crate::skelly::{Redundancy, Skelly, SkellySpec};

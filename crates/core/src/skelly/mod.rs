@@ -13,9 +13,9 @@ mod redundancy;
 pub use redundancy::{CounterBank, GateCounters, Redundancy};
 
 use crate::error::Result;
-use crate::gate::bp::{BpAnd, BpAndAndOr, BpNand, BpOr};
-use crate::gate::tsx::{TsxAnd, TsxAndOr, TsxAssign, TsxNot, TsxOr, TsxXor};
-use crate::gate::{GateReading, GateSpec, WeirdGate};
+use crate::gate::bp::BpGate;
+use crate::gate::tsx::{TsxGate, TsxXor};
+use crate::gate::{install_units, GateKind, GateReading, ProgramUnit, WeirdGate};
 use crate::layout::Layout;
 use crate::substrate::flat::DEFAULT_ALIAS_STRIDE;
 use crate::substrate::Substrate;
@@ -40,9 +40,48 @@ pub fn calibrate_threshold<S: Substrate + ?Sized>(s: &mut S, probe: u64, samples
     hit_med + (miss_med.saturating_sub(hit_med)) / 2
 }
 
-/// The machine-independent half of a [`Skelly`]: one [`GateSpec`] per gate,
-/// built against a shared [`Layout`] in a fixed order, plus the calibration
-/// probe address.
+/// One wired gate of every [`GateKind`] (addresses only).
+#[derive(Debug, Clone)]
+struct Gates {
+    /// The branch-predictor kinds, in [`GateKind::ALL`] order.
+    bp: Vec<BpGate>,
+    /// The single-transaction TSX kinds, in [`GateKind::ALL`] order.
+    tsx: Vec<TsxGate>,
+    xor: TsxXor,
+}
+
+impl Gates {
+    /// Builds every kind against `lay` in [`GateKind::ALL`] order,
+    /// appending each gate's program fragments to `units`.
+    fn build(lay: &mut Layout, units: &mut Vec<ProgramUnit>) -> Result<Self> {
+        let mut bp = Vec::new();
+        let mut tsx = Vec::new();
+        for kind in GateKind::ALL {
+            match kind {
+                GateKind::TxXor => {}
+                _ if kind.is_tsx() => tsx.push(TsxGate::spec(kind, lay)?.into_gate(units)),
+                _ => bp.push(BpGate::spec(kind, lay)?.into_gate(units)),
+            }
+        }
+        let xor = TsxXor::spec(lay)?.into_gate(units);
+        Ok(Self { bp, tsx, xor })
+    }
+
+    /// The gate of `kind`.
+    fn get(&self, kind: GateKind) -> &dyn WeirdGate {
+        let i = kind as usize;
+        match kind {
+            GateKind::TxXor => &self.xor,
+            _ if kind.is_tsx() => &self.tsx[i - self.bp.len()],
+            _ => &self.bp[i],
+        }
+    }
+}
+
+/// The machine-independent half of a [`Skelly`]: one gate of every
+/// [`GateKind`], built against a shared [`Layout`] in [`GateKind::ALL`]
+/// order, their pooled program fragments, and the calibration probe
+/// address.
 ///
 /// A spec is built **once** and instantiated many times — on every shard of
 /// a [`crate::exec::ShardedExecutor`], or on freshly seeded machines for
@@ -65,16 +104,9 @@ pub fn calibrate_threshold<S: Substrate + ?Sized>(s: &mut S, probe: u64, samples
 pub struct SkellySpec {
     lay: Layout,
     probe: u64,
-    bp_and: GateSpec<BpAnd>,
-    bp_or: GateSpec<BpOr>,
-    bp_nand: GateSpec<BpNand>,
-    bp_aao: GateSpec<BpAndAndOr>,
-    tsx_assign: GateSpec<TsxAssign>,
-    tsx_and: GateSpec<TsxAnd>,
-    tsx_or: GateSpec<TsxOr>,
-    tsx_and_or: GateSpec<TsxAndOr>,
-    tsx_not: GateSpec<TsxNot>,
-    tsx_xor: GateSpec<TsxXor>,
+    gates: Gates,
+    /// Every gate's program fragments, in build order.
+    units: Vec<ProgramUnit>,
 }
 
 impl SkellySpec {
@@ -96,30 +128,14 @@ impl SkellySpec {
     /// Fails if gate construction exhausts the layout or assembly fails.
     pub fn with_alias_stride(alias_stride: u64) -> Result<Self> {
         let mut lay = Layout::new(alias_stride);
-        let bp_and = BpAnd::spec(&mut lay)?;
-        let bp_or = BpOr::spec(&mut lay)?;
-        let bp_nand = BpNand::spec(&mut lay)?;
-        let bp_aao = BpAndAndOr::spec(&mut lay)?;
-        let tsx_assign = TsxAssign::spec(&mut lay)?;
-        let tsx_and = TsxAnd::spec(&mut lay)?;
-        let tsx_or = TsxOr::spec(&mut lay)?;
-        let tsx_and_or = TsxAndOr::spec(&mut lay)?;
-        let tsx_not = TsxNot::spec(&mut lay)?;
-        let tsx_xor = TsxXor::spec(&mut lay)?;
+        let mut units = Vec::new();
+        let gates = Gates::build(&mut lay, &mut units)?;
         let probe = lay.alloc_var()?;
         Ok(Self {
             lay,
             probe,
-            bp_and,
-            bp_or,
-            bp_nand,
-            bp_aao,
-            tsx_assign,
-            tsx_and,
-            tsx_or,
-            tsx_and_or,
-            tsx_not,
-            tsx_xor,
+            gates,
+            units,
         })
     }
 
@@ -133,16 +149,7 @@ impl SkellySpec {
             self.lay.alias_stride(),
             "spec stride must match the machine's predictor"
         );
-        let bp_and = self.bp_and.instantiate(&mut m);
-        let bp_or = self.bp_or.instantiate(&mut m);
-        let bp_nand = self.bp_nand.instantiate(&mut m);
-        let bp_aao = self.bp_aao.instantiate(&mut m);
-        let tsx_assign = self.tsx_assign.instantiate(&mut m);
-        let tsx_and = self.tsx_and.instantiate(&mut m);
-        let tsx_or = self.tsx_or.instantiate(&mut m);
-        let tsx_and_or = self.tsx_and_or.instantiate(&mut m);
-        let tsx_not = self.tsx_not.instantiate(&mut m);
-        let tsx_xor = self.tsx_xor.instantiate(&mut m);
+        install_units(&mut m, &self.units);
         let threshold = calibrate_threshold(&mut m, self.probe, 33);
         Skelly {
             m,
@@ -150,16 +157,7 @@ impl SkellySpec {
             threshold,
             red: Redundancy::default(),
             counters: CounterBank::new(),
-            bp_and,
-            bp_or,
-            bp_nand,
-            bp_aao,
-            tsx_assign,
-            tsx_and,
-            tsx_or,
-            tsx_and_or,
-            tsx_not,
-            tsx_xor,
+            gates: self.gates.clone(),
         }
     }
 }
@@ -170,11 +168,13 @@ impl SkellySpec {
 /// # Examples
 ///
 /// ```
+/// use uwm_core::gate::GateKind;
 /// use uwm_core::skelly::Skelly;
 /// let mut sk = Skelly::quiet(7).unwrap();
 /// assert!(sk.xor(true, false));
 /// assert!(!sk.xor(true, true));
 /// assert_eq!(sk.add32(0xFFFF_FFFF, 1), 0, "wrap-around addition");
+/// assert!(sk.execute_timed(GateKind::TxNot, &[false]).unwrap().bit);
 /// ```
 #[derive(Debug)]
 pub struct Skelly {
@@ -183,16 +183,7 @@ pub struct Skelly {
     threshold: u64,
     red: Redundancy,
     counters: CounterBank,
-    bp_and: BpAnd,
-    bp_or: BpOr,
-    bp_nand: BpNand,
-    bp_aao: BpAndAndOr,
-    tsx_assign: TsxAssign,
-    tsx_and: TsxAnd,
-    tsx_or: TsxOr,
-    tsx_and_or: TsxAndOr,
-    tsx_not: TsxNot,
-    tsx_xor: TsxXor,
+    gates: Gates,
 }
 
 impl Skelly {
@@ -280,28 +271,30 @@ impl Skelly {
     // Voted logical operations (BP/IC gate family — §6.3's gates)
     // ------------------------------------------------------------------
 
-    fn vote(&mut self, gate: &dyn WeirdGate, inputs: &[bool]) -> bool {
+    fn vote(&mut self, kind: GateKind, inputs: &[bool]) -> bool {
         self.red
-            .vote(gate, &mut self.m, inputs, &mut self.counters)
+            .vote(
+                self.gates.get(kind),
+                &mut self.m,
+                inputs,
+                &mut self.counters,
+            )
             .expect("arity is fixed by the caller")
     }
 
     /// `a & b` on the branch-predictor AND gate (Figure 1).
     pub fn and(&mut self, a: bool, b: bool) -> bool {
-        let g = self.bp_and;
-        self.vote(&g, &[a, b])
+        self.vote(GateKind::And, &[a, b])
     }
 
     /// `a | b` on the branch-predictor OR gate (Figure 2).
     pub fn or(&mut self, a: bool, b: bool) -> bool {
-        let g = self.bp_or;
-        self.vote(&g, &[a, b])
+        self.vote(GateKind::Or, &[a, b])
     }
 
     /// `!(a & b)` on the NAND gate.
     pub fn nand(&mut self, a: bool, b: bool) -> bool {
-        let g = self.bp_nand;
-        self.vote(&g, &[a, b])
+        self.vote(GateKind::Nand, &[a, b])
     }
 
     /// `!a`, as `nand(a, a)`.
@@ -311,8 +304,7 @@ impl Skelly {
 
     /// `(a & b) | (c & d)` on the composed AND-AND-OR gate.
     pub fn and_and_or(&mut self, a: bool, b: bool, c: bool, d: bool) -> bool {
-        let g = self.bp_aao;
-        self.vote(&g, &[a, b, c, d])
+        self.vote(GateKind::AndAndOr, &[a, b, c, d])
     }
 
     /// `a ^ b` from four NAND gates — the construction behind the NAND
@@ -330,124 +322,52 @@ impl Skelly {
 
     /// `a` through the TSX assignment gate.
     pub fn tsx_assign(&mut self, a: bool) -> bool {
-        let g = self.tsx_assign;
-        self.vote(&g, &[a])
+        self.vote(GateKind::TxAssign, &[a])
     }
 
     /// `a & b` on the TSX AND gate.
     pub fn tsx_and(&mut self, a: bool, b: bool) -> bool {
-        let g = self.tsx_and;
-        self.vote(&g, &[a, b])
+        self.vote(GateKind::TxAnd, &[a, b])
     }
 
     /// `a | b` on the TSX OR gate.
     pub fn tsx_or(&mut self, a: bool, b: bool) -> bool {
-        let g = self.tsx_or;
-        self.vote(&g, &[a, b])
+        self.vote(GateKind::TxOr, &[a, b])
     }
 
     /// `!a` on the TSX NOT gate.
     pub fn tsx_not(&mut self, a: bool) -> bool {
-        let g = self.tsx_not;
-        self.vote(&g, &[a])
+        self.vote(GateKind::TxNot, &[a])
     }
 
     /// `a ^ b` on the three-transaction TSX XOR circuit (§4.1).
     pub fn tsx_xor(&mut self, a: bool, b: bool) -> bool {
-        let g = self.tsx_xor;
-        self.vote(&g, &[a, b])
+        self.vote(GateKind::TxXor, &[a, b])
     }
 
     // ------------------------------------------------------------------
     // Harness access
     // ------------------------------------------------------------------
 
-    /// Executes a gate by its paper-table name with raw (unvoted) timing —
-    /// the entry point the evaluation harness sweeps over. Names: `AND`,
-    /// `OR`, `NAND`, `AND_AND_OR`, `TSX_ASSIGN`, `TSX_AND`, `TSX_OR`,
-    /// `TSX_AND_OR`, `TSX_NOT`, `TSX_XOR`.
+    /// Executes the `kind` gate once with raw (unvoted) timing — the entry
+    /// point the evaluation harness sweeps over.
     ///
     /// # Errors
     ///
-    /// Returns an arity error for wrong input counts; panics on an unknown
-    /// name (a harness bug, not an input condition).
-    pub fn execute_named(&mut self, name: &str, inputs: &[bool]) -> Result<GateReading> {
-        match name {
-            "AND" => {
-                let g = self.bp_and;
-                g.execute_timed(&mut self.m, inputs)
-            }
-            "OR" => {
-                let g = self.bp_or;
-                g.execute_timed(&mut self.m, inputs)
-            }
-            "NAND" => {
-                let g = self.bp_nand;
-                g.execute_timed(&mut self.m, inputs)
-            }
-            "AND_AND_OR" => {
-                let g = self.bp_aao;
-                g.execute_timed(&mut self.m, inputs)
-            }
-            "TSX_ASSIGN" => {
-                let g = self.tsx_assign;
-                g.execute_timed(&mut self.m, inputs)
-            }
-            "TSX_AND" => {
-                let g = self.tsx_and;
-                g.execute_timed(&mut self.m, inputs)
-            }
-            "TSX_OR" => {
-                let g = self.tsx_or;
-                g.execute_timed(&mut self.m, inputs)
-            }
-            "TSX_AND_OR" => {
-                let g = self.tsx_and_or;
-                g.execute_timed(&mut self.m, inputs)
-            }
-            "TSX_NOT" => {
-                let g = self.tsx_not;
-                g.execute_timed(&mut self.m, inputs)
-            }
-            "TSX_XOR" => {
-                let g = self.tsx_xor;
-                g.execute_timed(&mut self.m, inputs)
-            }
-            other => panic!("unknown gate name `{other}`"),
-        }
-    }
-
-    /// Reference truth for a named gate (see [`Skelly::execute_named`]).
-    pub fn truth_named(&self, name: &str, inputs: &[bool]) -> bool {
-        match name {
-            "AND" | "TSX_AND" | "TSX_AND_OR" => inputs[0] & inputs[1],
-            "OR" | "TSX_OR" => inputs[0] | inputs[1],
-            "NAND" => !(inputs[0] & inputs[1]),
-            "AND_AND_OR" => (inputs[0] & inputs[1]) | (inputs[2] & inputs[3]),
-            "TSX_ASSIGN" => inputs[0],
-            "TSX_NOT" => !inputs[0],
-            "TSX_XOR" => inputs[0] ^ inputs[1],
-            other => panic!("unknown gate name `{other}`"),
-        }
+    /// Returns [`crate::CoreError::Arity`] when `inputs.len()` is not the
+    /// kind's arity.
+    pub fn execute_timed(&mut self, kind: GateKind, inputs: &[bool]) -> Result<GateReading> {
+        self.gates.get(kind).execute_timed(&mut self.m, inputs)
     }
 
     /// The TSX AND-OR gate instance (both-outputs measurements, Table 6).
-    pub fn tsx_and_or_gate(&self) -> TsxAndOr {
-        self.tsx_and_or
+    pub fn tsx_and_or_gate(&self) -> TsxGate {
+        self.gates.tsx[GateKind::TxAndOr as usize - self.gates.bp.len()]
     }
 
     /// The TSX XOR circuit instance (Table 7 measurements).
     pub fn tsx_xor_gate(&self) -> TsxXor {
-        self.tsx_xor
-    }
-
-    /// Arity of a named gate (see [`Skelly::execute_named`]).
-    pub fn arity_named(&self, name: &str) -> usize {
-        match name {
-            "AND_AND_OR" => 4,
-            "TSX_ASSIGN" | "TSX_NOT" => 1,
-            _ => 2,
-        }
+        self.gates.xor
     }
 }
 
@@ -518,12 +438,12 @@ mod tests {
         let mut a = spec.instantiate(MachineConfig::default(), 9);
         let mut b = spec.instantiate(MachineConfig::default(), 9);
         assert_eq!(a.threshold(), b.threshold());
-        for name in ["AND", "TSX_AND", "TSX_XOR"] {
+        for kind in [GateKind::And, GateKind::TxAnd, GateKind::TxXor] {
             for bits in 0..4u32 {
                 let inputs = vec![bits & 1 == 1, bits >> 1 & 1 == 1];
-                let ra = a.execute_named(name, &inputs).unwrap();
-                let rb = b.execute_named(name, &inputs).unwrap();
-                assert_eq!(ra, rb, "gate {name}, inputs {inputs:?}");
+                let ra = a.execute_timed(kind, &inputs).unwrap();
+                let rb = b.execute_timed(kind, &inputs).unwrap();
+                assert_eq!(ra, rb, "gate {kind:?}, inputs {inputs:?}");
             }
         }
         assert_eq!(a.machine().cycles(), b.machine().cycles());
@@ -536,32 +456,27 @@ mod tests {
             .unwrap()
             .instantiate(MachineConfig::quiet(), 11);
         assert_eq!(direct.threshold(), via_spec.threshold());
-        let rd = direct.execute_named("TSX_AND_OR", &[true, false]).unwrap();
-        let rs = via_spec
-            .execute_named("TSX_AND_OR", &[true, false])
-            .unwrap();
+        let rd = direct.execute_timed(GateKind::TxAndOr, &[true, false]);
+        let rs = via_spec.execute_timed(GateKind::TxAndOr, &[true, false]);
         assert_eq!(rd, rs);
     }
 
+    /// Every kind runs through the harness entry point, matches its truth
+    /// table, and rejects a wrong input count with an error.
     #[test]
-    fn execute_named_covers_all_gates() {
+    fn execute_timed_covers_all_kinds() {
         let mut sk = Skelly::quiet(5).unwrap();
-        for name in [
-            "AND",
-            "OR",
-            "NAND",
-            "AND_AND_OR",
-            "TSX_ASSIGN",
-            "TSX_AND",
-            "TSX_OR",
-            "TSX_AND_OR",
-            "TSX_NOT",
-            "TSX_XOR",
-        ] {
-            let arity = sk.arity_named(name);
-            let inputs = vec![true; arity];
-            let r = sk.execute_named(name, &inputs).unwrap();
-            assert_eq!(r.bit, sk.truth_named(name, &inputs), "gate {name}");
+        for kind in GateKind::ALL {
+            assert_eq!(sk.gates.get(kind).kind(), kind);
+            for bits in 0..1u32 << kind.arity() {
+                let inputs: Vec<bool> = (0..kind.arity()).map(|i| bits >> i & 1 == 1).collect();
+                let r = sk.execute_timed(kind, &inputs).unwrap();
+                assert_eq!(r.bit, kind.truth(&inputs), "{kind:?} {inputs:?}");
+            }
+            assert!(matches!(
+                sk.execute_timed(kind, &[true; 3]),
+                Err(crate::CoreError::Arity { got: 3, .. })
+            ));
         }
     }
 }

@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 
 use crate::error::Result;
-use crate::gate::WeirdGate;
+use crate::gate::{check_arity, WeirdGate, READ_THRESHOLD};
 use crate::substrate::Substrate;
 
 /// Redundancy parameters for voted gate execution.
@@ -62,19 +62,19 @@ impl Redundancy {
     /// Executes `gate` redundantly and returns the voted output bit,
     /// recording accuracy statistics in `bank`.
     ///
-    /// When more than one raw execution is needed and the gate implements
-    /// the split protocol ([`WeirdGate::supports_split`]), the invariant
-    /// preparation — output initialization, input encoding, predictor
-    /// training — runs **once**: the prepared state is snapshotted and
-    /// every trial restores it ([`Substrate::restore_keeping_clock`], so
-    /// the clock stays monotonic and each trial draws fresh noise) before
-    /// activating and reading. Gates without split support, and the
-    /// no-redundancy default, fall back to the full per-trial protocol —
-    /// the default path is bit-identical to the unhoisted one.
+    /// When more than one raw execution is needed, the invariant
+    /// preparation ([`WeirdGate::begin`]: output initialization, input
+    /// encoding, predictor training) runs **once**: the prepared state is
+    /// snapshotted and every trial restores it
+    /// ([`Substrate::restore_keeping_clock`], so the clock stays monotonic
+    /// and each trial draws fresh noise) before
+    /// [`WeirdGate::activate_read`]. The no-redundancy default runs the
+    /// full protocol once.
     ///
     /// # Errors
     ///
-    /// Propagates gate arity errors.
+    /// Returns [`crate::CoreError::Arity`] when `inputs.len()` is not the
+    /// gate's arity; nothing is executed or counted then.
     ///
     /// # Panics
     ///
@@ -91,8 +91,9 @@ impl Redundancy {
             "redundancy must be positive"
         );
         assert!(self.k > 0 && self.k <= self.votes, "need 0 < k <= votes");
+        check_arity(gate.kind(), inputs)?;
         let expected = gate.truth(inputs);
-        let prepared = if self.raw_executions() > 1 && gate.supports_split() {
+        let prepared = if self.raw_executions() > 1 {
             gate.begin(s, inputs)?;
             Some(s.snapshot())
         } else {
@@ -119,7 +120,7 @@ impl Redundancy {
             }
             delays.sort_unstable();
             let median = delays[delays.len() / 2];
-            let vote = median < crate::gate::READ_THRESHOLD;
+            let vote = median < READ_THRESHOLD;
             counters.medians_total += 1;
             if vote == expected {
                 counters.medians_correct += 1;
@@ -229,48 +230,58 @@ impl CounterBank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gate::GateReading;
-    use uwm_sim::machine::Machine;
+    use crate::error::CoreError;
+    use crate::gate::tsx::{TsxGate, TsxXor};
+    use crate::gate::{GateKind, GateReading};
+    use crate::layout::Layout;
+    use std::cell::Cell;
+    use uwm_sim::machine::{Machine, MachineConfig};
 
-    /// A fake gate with a programmable error pattern.
+    /// A fake one-input gate with a programmable error pattern.
     #[derive(Debug)]
     struct FlakyGate {
         fail_every: u64,
-        calls: std::cell::Cell<u64>,
+        calls: Cell<u64>,
+        input: Cell<bool>,
+    }
+
+    impl FlakyGate {
+        fn new(fail_every: u64) -> Self {
+            Self {
+                fail_every,
+                calls: 0.into(),
+                input: false.into(),
+            }
+        }
     }
 
     impl WeirdGate for FlakyGate {
-        fn name(&self) -> &'static str {
-            "FLAKY"
+        fn kind(&self) -> GateKind {
+            GateKind::TxAssign
         }
-        fn arity(&self) -> usize {
-            1
+        fn begin(&self, _s: &mut dyn Substrate, inputs: &[bool]) -> Result<()> {
+            self.input.set(inputs[0]);
+            Ok(())
         }
-        fn truth(&self, inputs: &[bool]) -> bool {
-            inputs[0]
-        }
-        fn execute_timed(&self, _s: &mut dyn Substrate, inputs: &[bool]) -> Result<GateReading> {
+        fn activate_read(&self, _s: &mut dyn Substrate) -> GateReading {
             let n = self.calls.get();
             self.calls.set(n + 1);
             let fail = self.fail_every != 0 && n.is_multiple_of(self.fail_every);
-            let bit = inputs[0] ^ fail;
-            Ok(GateReading {
+            let bit = self.input.get() ^ fail;
+            GateReading {
                 bit,
                 delay: if bit { 40 } else { 230 },
-            })
+            }
         }
     }
 
     fn machine() -> Machine {
-        Machine::new(uwm_sim::machine::MachineConfig::quiet(), 0)
+        Machine::new(MachineConfig::quiet(), 0)
     }
 
     #[test]
     fn voting_corrects_sporadic_errors() {
-        let gate = FlakyGate {
-            fail_every: 7,
-            calls: 0.into(),
-        };
+        let gate = FlakyGate::new(7);
         let red = Redundancy::paper();
         let mut bank = CounterBank::new();
         let mut m = machine();
@@ -279,7 +290,7 @@ mod tests {
             let out = red.vote(&gate, &mut m, &[input], &mut bank).unwrap();
             assert_eq!(out, input, "vote {i} must mask a 1/7 error rate");
         }
-        let c = bank.get("FLAKY").unwrap();
+        let c = bank.get("TSX_ASSIGN").unwrap();
         assert!(c.raw_correct < c.raw_total, "raw errors did happen");
         assert_eq!(c.vote_accuracy(), 1.0);
         assert_eq!(c.raw_total, 40 * 50);
@@ -287,10 +298,7 @@ mod tests {
 
     #[test]
     fn no_redundancy_passes_raw_bits_through() {
-        let gate = FlakyGate {
-            fail_every: 2,
-            calls: 0.into(),
-        };
+        let gate = FlakyGate::new(2);
         let red = Redundancy::default();
         let mut bank = CounterBank::new();
         let mut m = machine();
@@ -306,10 +314,7 @@ mod tests {
     #[test]
     fn k_threshold_is_respected() {
         // With k = votes, a single 0-vote forces output 0.
-        let gate = FlakyGate {
-            fail_every: 5,
-            calls: 0.into(),
-        };
+        let gate = FlakyGate::new(5);
         let red = Redundancy {
             samples: 1,
             votes: 5,
@@ -324,10 +329,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "k <= votes")]
     fn invalid_k_panics() {
-        let gate = FlakyGate {
-            fail_every: 0,
-            calls: 0.into(),
-        };
+        let gate = FlakyGate::new(0);
         let red = Redundancy {
             samples: 1,
             votes: 3,
@@ -339,13 +341,13 @@ mod tests {
 
     #[test]
     fn hoisted_split_path_votes_correctly() {
-        use crate::gate::tsx::TsxAnd;
-        use crate::layout::Layout;
-        // A real split-capable gate on a noisy machine: prepare runs once,
-        // every raw execution replays the prepared snapshot.
-        let mut m = Machine::new(uwm_sim::machine::MachineConfig::default(), 11);
+        // A real gate on a noisy machine: prepare runs once, every raw
+        // execution replays the prepared snapshot.
+        let mut m = Machine::new(MachineConfig::default(), 11);
         let mut lay = Layout::new(m.predictor().alias_stride());
-        let g = TsxAnd::build(&mut m, &mut lay).unwrap();
+        let g = TsxGate::spec(GateKind::TxAnd, &mut lay)
+            .unwrap()
+            .instantiate(&mut m);
         let red = Redundancy::paper();
         let mut bank = CounterBank::new();
         for bits in 0..4u32 {
@@ -360,11 +362,11 @@ mod tests {
 
     #[test]
     fn clock_stays_monotonic_across_hoisted_trials() {
-        use crate::gate::tsx::TsxOr;
-        use crate::layout::Layout;
-        let mut m = Machine::new(uwm_sim::machine::MachineConfig::quiet(), 0);
+        let mut m = Machine::new(MachineConfig::quiet(), 0);
         let mut lay = Layout::new(m.predictor().alias_stride());
-        let g = TsxOr::build(&mut m, &mut lay).unwrap();
+        let g = TsxGate::spec(GateKind::TxOr, &mut lay)
+            .unwrap()
+            .instantiate(&mut m);
         let red = Redundancy {
             samples: 5,
             votes: 3,
@@ -378,6 +380,29 @@ mod tests {
             uwm_sim::machine::Machine::cycles(&m) > before,
             "restore_keeping_clock must not rewind time"
         );
+    }
+
+    /// A wrong input count is an error, checked before the reference
+    /// truth is taken or anything runs.
+    #[test]
+    fn wrong_arity_is_an_error_not_a_panic() {
+        let mut m = machine();
+        let mut lay = Layout::new(m.predictor().alias_stride());
+        let g = TsxXor::spec(&mut lay).unwrap().instantiate(&mut m);
+        let cycles = m.cycles();
+        let mut bank = CounterBank::new();
+        for red in [Redundancy::paper(), Redundancy::default()] {
+            assert_eq!(
+                red.vote(&g, &mut m, &[true], &mut bank),
+                Err(CoreError::Arity {
+                    gate: "TSX_XOR",
+                    expected: 2,
+                    got: 1,
+                })
+            );
+        }
+        assert_eq!(bank.iter().count(), 0, "no counters recorded");
+        assert_eq!(m.cycles(), cycles, "nothing executed");
     }
 
     #[test]

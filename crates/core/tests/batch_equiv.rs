@@ -11,9 +11,9 @@
 use uwm_core::batch::BatchRunner;
 use uwm_core::circuit::{adder32_inputs, adder32_spec, CircuitBuilder, CircuitPlan, CircuitSpec};
 use uwm_core::exec::{batch_seed, ShardedExecutor};
-use uwm_core::gate::bp::BpAnd;
+use uwm_core::gate::bp::BpGate;
 use uwm_core::gate::tsx::TsxXor;
-use uwm_core::gate::{GateSpec, WeirdGate};
+use uwm_core::gate::{GateKind, GateSpec, WeirdGate};
 use uwm_core::layout::Layout;
 use uwm_core::substrate::{FlatEmulator, Substrate, DEFAULT_ALIAS_STRIDE};
 use uwm_core::Result;
@@ -184,7 +184,7 @@ where
 /// committed-instruction counts.
 #[test]
 fn bp_and_gate_pooled_matches_serial() {
-    gate_pooled_matches_serial(BpAnd::spec);
+    gate_pooled_matches_serial(|lay| BpGate::spec(GateKind::And, lay));
 }
 
 /// Same contract for the TSX XOR gate (transaction + abort rollback).

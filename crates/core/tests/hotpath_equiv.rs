@@ -8,6 +8,7 @@
 //! every input combination under both configurations and compares all of
 //! those observables.
 
+use uwm_core::gate::GateKind;
 use uwm_core::skelly::Skelly;
 use uwm_sim::machine::MachineConfig;
 
@@ -23,7 +24,7 @@ struct Observables {
     committed_insts: u64,
 }
 
-fn run_gate(name: &str, predecode: bool, seed: u64) -> Observables {
+fn run_gate(kind: GateKind, predecode: bool, seed: u64) -> Observables {
     let cfg = MachineConfig {
         predecode,
         ..MachineConfig::default()
@@ -33,7 +34,7 @@ fn run_gate(name: &str, predecode: bool, seed: u64) -> Observables {
     let mut readings = Vec::new();
     for round in 0..8 {
         let inputs = INPUTS2[round % INPUTS2.len()];
-        let r = sk.execute_named(name, &inputs).expect("arity matches");
+        let r = sk.execute_timed(kind, &inputs).expect("arity matches");
         readings.push((r.bit, r.delay));
     }
     Observables {
@@ -47,15 +48,15 @@ fn run_gate(name: &str, predecode: bool, seed: u64) -> Observables {
 
 #[test]
 fn bp_gate_is_identical_with_predecode_on_and_off() {
-    let on = run_gate("AND", true, 0x5EED);
-    let off = run_gate("AND", false, 0x5EED);
+    let on = run_gate(GateKind::And, true, 0x5EED);
+    let off = run_gate(GateKind::And, false, 0x5EED);
     assert_eq!(on, off);
 }
 
 #[test]
 fn tsx_gate_is_identical_with_predecode_on_and_off() {
-    let on = run_gate("TSX_XOR", true, 0x5EED);
-    let off = run_gate("TSX_XOR", false, 0x5EED);
+    let on = run_gate(GateKind::TxXor, true, 0x5EED);
+    let off = run_gate(GateKind::TxXor, false, 0x5EED);
     assert_eq!(on, off);
 }
 
@@ -64,8 +65,8 @@ fn noisy_machine_cycle_traces_match_across_the_toggle() {
     // Default noise exercises the contention/noise paths inside
     // speculation windows too; seeds differ per round to vary alignment.
     for seed in [1u64, 42, 0xDEAD] {
-        let on = run_gate("OR", true, seed);
-        let off = run_gate("OR", false, seed);
+        let on = run_gate(GateKind::Or, true, seed);
+        let off = run_gate(GateKind::Or, false, seed);
         assert_eq!(on, off, "seed {seed}");
     }
 }

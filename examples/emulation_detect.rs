@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
     for (label, s) in backends {
         let gate = spec.instantiate(s);
-        let verdict = classify(s, &gate);
+        let verdict = classify(s, &gate)?;
         println!("{label} → {verdict:?}");
     }
 

@@ -20,10 +20,10 @@ fn main() -> Result<()> {
     println!("DC-WR roundtrip: wrote 0, read {}", reg.read(&mut m) as u8);
 
     // --- 2. A weird gate: AND computed by a speculative race -----------
-    let gate = BpAnd::build(&mut m, &mut lay)?;
+    let gate = BpGate::spec(GateKind::And, &mut lay)?.instantiate(&mut m);
     println!("\nBranch-predictor AND gate (Figure 1):");
     for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
-        let r = gate.execute_reading(&mut m, a, b);
+        let r = gate.execute_timed(&mut m, &[a, b])?;
         println!(
             "  {} AND {} = {}   (output read took {} cycles)",
             a as u8, b as u8, r.bit as u8, r.delay
@@ -52,8 +52,8 @@ fn main() -> Result<()> {
     let sum = sk.add32(0x1234_5678, 0x1111_1111);
     println!("\nskelly add32(0x12345678, 0x11111111) = {sum:#010x}");
     println!("(every bit of that addition went through weird gates)");
-    let nand_count = sk.counters().get("NAND").map_or(0, |c| c.raw_total);
-    let aao_count = sk.counters().get("AND_AND_OR").map_or(0, |c| c.raw_total);
+    let count = |kind: GateKind| sk.counters().get(kind.name()).map_or(0, |c| c.raw_total);
+    let (nand_count, aao_count) = (count(GateKind::Nand), count(GateKind::AndAndOr));
     println!("gate executions: {nand_count} NAND, {aao_count} AND_AND_OR");
     Ok(())
 }

@@ -5,6 +5,8 @@ use uwm_apps::covert::CovertChannel;
 use uwm_apps::emulation::{probe_config, Platform};
 use uwm_apps::wm_apt::{Payload, WmApt};
 use uwm_core::circuit::CircuitBuilder;
+use uwm_core::gate::tsx::TsxGate;
+use uwm_core::gate::GateKind;
 use uwm_core::layout::Layout;
 use uwm_core::reg::{DcWr, WeirdRegister};
 use uwm_core::skelly::{Redundancy, Skelly};
@@ -18,7 +20,9 @@ fn register_and_gate_layers_share_state() {
     let mut lay = Layout::new(m.predictor().alias_stride());
     let input = lay.alloc_var().unwrap();
     let out = lay.alloc_var().unwrap();
-    let gate = uwm_core::gate::tsx::TsxAssign::build_wired(&mut m, &mut lay, input, out).unwrap();
+    let gate = TsxGate::spec_wired(GateKind::TxAssign, &mut lay, &[input], &[out])
+        .unwrap()
+        .instantiate(&mut m);
     let reg = DcWr::at(input, 100);
 
     reg.write(&mut m, true);
