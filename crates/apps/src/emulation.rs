@@ -8,21 +8,21 @@
 //! gates compute correctly, i.e. unless it is on real (here: fully
 //! modelled) hardware.
 //!
-//! The probe is written once against [`Substrate`] and exercised on two
-//! backends with **zero gate-code duplication**:
+//! The probe is written once against [`Substrate`] and exercised on the two
+//! execution models of [`uwm_sim::machine::Machine`] with **zero gate-code
+//! duplication**:
 //!
-//! * [`uwm_sim::machine::Machine`] — the full microarchitectural model
-//!   (caches, speculation, transactions): gates compute, verdict
-//!   [`Platform::RealHardware`];
-//! * [`uwm_core::substrate::FlatEmulator`] — a plain architectural
-//!   interpreter (what an analyst's emulator implements): every timed read
+//! * the full microarchitectural model (caches, speculation,
+//!   transactions): gates compute, verdict [`Platform::RealHardware`];
+//! * [`MachineConfig::flat`] — the same ISA with fixed latencies and no
+//!   speculation (what an analyst's emulator implements): every timed read
 //!   is equally fast, the gates degenerate, verdict [`Platform::Emulated`].
 
 use uwm_core::error::Result;
 use uwm_core::gate::tsx::TsxGate;
 use uwm_core::gate::{GateKind, GateSpec, WeirdGate};
 use uwm_core::layout::Layout;
-use uwm_core::substrate::{FlatEmulator, Substrate};
+use uwm_core::substrate::Substrate;
 use uwm_sim::machine::{Machine, MachineConfig};
 
 /// How many probe gates a verdict is based on.
@@ -96,8 +96,8 @@ pub fn probe_config(cfg: MachineConfig, seed: u64) -> Result<Platform> {
     probe(&mut m, &mut lay)
 }
 
-/// Runs **one** probe spec against both backends — the full simulated
-/// microarchitecture and the flat architectural emulator — and returns
+/// Runs **one** probe spec against both execution models — the full
+/// simulated microarchitecture and the flat emulator model — and returns
 /// `(on_machine, on_emulator)`. This is the paper's §2.1 demonstration in
 /// a single call: same program, opposite verdicts.
 ///
@@ -106,7 +106,7 @@ pub fn probe_config(cfg: MachineConfig, seed: u64) -> Result<Platform> {
 /// Fails if gate construction exhausts the layout.
 pub fn probe_both(seed: u64) -> Result<(Platform, Platform)> {
     let mut m = Machine::new(MachineConfig::quiet(), seed);
-    let mut flat = FlatEmulator::new();
+    let mut flat = Machine::new(MachineConfig::flat(), seed);
     let mut lay = Layout::new(m.predictor().alias_stride());
     let spec = probe_spec(&mut lay)?;
     let run = |s: &mut dyn Substrate| {
@@ -138,6 +138,7 @@ pub fn guarded_multiply(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uwm_sim::machine::ExecutionModel;
 
     #[test]
     fn real_model_detected_as_hardware() {
@@ -162,7 +163,13 @@ mod tests {
 
     #[test]
     fn flat_substrate_detected_as_emulator() {
-        let mut flat = FlatEmulator::new();
+        // Noise perturbs only modelled microarchitecture, so turning it on
+        // must not rescue the gates on the flat model.
+        let cfg = MachineConfig {
+            model: ExecutionModel::Flat,
+            ..MachineConfig::default()
+        };
+        let mut flat = Machine::new(cfg, 0);
         let mut lay = Layout::new(flat.alias_stride());
         assert_eq!(probe(&mut flat, &mut lay).unwrap(), Platform::Emulated);
     }
@@ -176,7 +183,7 @@ mod tests {
 
     #[test]
     fn guarded_computation_withholds_result_under_emulation() {
-        let mut flat = FlatEmulator::new();
+        let mut flat = Machine::new(MachineConfig::flat(), 0);
         let mut lay = Layout::new(flat.alias_stride());
         assert_eq!(guarded_multiply(&mut flat, &mut lay, 6, 7).unwrap(), None);
 

@@ -329,11 +329,6 @@ impl WmApt {
         &mut self.sk
     }
 
-    /// Sets the per-bit decode redundancy (ablation experiments).
-    pub fn set_decode_redundancy(&mut self, red: Redundancy) {
-        self.sk.set_redundancy(red);
-    }
-
     /// The defender's view: the architecturally readable bytes of the
     /// armed region before triggering — useful to demonstrate that no
     /// payload instruction is recoverable from memory.

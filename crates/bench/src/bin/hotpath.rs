@@ -8,9 +8,9 @@
 //! - `tsx_xor` — the §4 TSX XOR gate (transaction + abort rollback)
 //! - `adder32` — a 32-bit skelly ripple-carry adder (composed weird gates,
 //!   the SHA-1 building block)
-//! - `adder32_serial` — the same adder as a compiled circuit, bound the
-//!   pre-plan way: a fresh machine and a per-gate-fragment program install
-//!   for every operand pair (the batch engine's serial comparator)
+//! - `adder32_serial` — the same adder as a circuit compiled once, then
+//!   bound to a fresh machine for every operand pair (the batch engine's
+//!   serial comparator)
 //! - `adder32_batch` — the adder streamed through [`BatchRunner`]: pooled
 //!   per-shard machines, warm-state snapshot/restore between items
 //! - `sha1_block` — one SHA-1 compression per item through the pooled
@@ -165,15 +165,18 @@ fn adder_circuit() -> CircuitSpec {
     adder32_spec(&mut lay).expect("adder circuit builds")
 }
 
-/// Measures the pre-plan serial circuit path — the batch engine's
-/// comparator: every operand pair pays a fresh default-noise machine, a
-/// per-gate-fragment binding (one program install, and thus one full
-/// predecode rebuild, per fragment), and one run.
+/// Measures the serial circuit path — the batch engine's comparator: the
+/// circuit is compiled once, and every operand pair pays a fresh
+/// default-noise machine, a [`CircuitPlan::instantiate`] (one program
+/// install, code warming, threshold calibration) and one run.
+///
+/// [`CircuitPlan::instantiate`]: uwm_core::circuit::CircuitPlan::instantiate
 fn adder32_serial_workload(spec: &CircuitSpec, seed: u64, count_ops: u64) -> Workload {
-    let gate_evals_per_op = spec.compile().gate_count() as f64;
+    let plan = spec.compile();
+    let gate_evals_per_op = plan.gate_count() as f64;
     let serial_op = |i: usize| -> u64 {
         let mut m = Machine::new(MachineConfig::default(), batch_seed(seed, i));
-        let c = spec.instantiate_per_unit(&mut m);
+        let c = plan.instantiate(&mut m);
         let (a, b) = PAIRS[i % PAIRS.len()];
         c.run(&mut m, &adder32_inputs(a, b)).expect("arity matches");
         m.stats().committed_insts

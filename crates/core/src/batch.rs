@@ -23,7 +23,7 @@
 //! item `i` are therefore independent of shard count, scheduling order,
 //! and which items ran before it, and identical to the serial path's
 //! (fresh backend, instantiate, reseed, run). Golden tests in
-//! `tests/batch_equiv.rs` enforce that equivalence on both backends.
+//! `tests/batch_equiv.rs` enforce that equivalence on both execution models.
 
 use crate::circuit::{Circuit, CircuitPlan};
 use crate::error::{CoreError, Result};
@@ -247,7 +247,6 @@ mod tests {
     use super::*;
     use crate::circuit::{adder32_inputs, adder32_outputs, adder32_spec, CircuitBuilder};
     use crate::layout::Layout;
-    use crate::substrate::FlatEmulator;
     use uwm_sim::machine::{Machine, MachineConfig};
 
     fn xor_plan() -> CircuitPlan {
@@ -326,14 +325,14 @@ mod tests {
 
     #[test]
     fn flat_backend_is_poolable() {
-        // The flat emulator degenerates gates (that is the emulation
+        // The flat model degenerates gates (that is the emulation
         // detector's signal); batching must still be deterministic on it.
         let inputs: Vec<Vec<bool>> = (0..6).map(|i| vec![i & 1 == 1, i & 2 == 2]).collect();
         let base = BatchRunner::new(xor_plan(), ShardedExecutor::new(1), 5)
-            .run_observed(FlatEmulator::new, &inputs)
+            .run_observed(|| Machine::new(MachineConfig::flat(), 5), &inputs)
             .unwrap();
         let sharded = BatchRunner::new(xor_plan(), ShardedExecutor::new(3), 5)
-            .run_observed(FlatEmulator::new, &inputs)
+            .run_observed(|| Machine::new(MachineConfig::flat(), 5), &inputs)
             .unwrap();
         assert_eq!(base, sharded);
     }

@@ -359,24 +359,6 @@ impl CircuitSpec {
     pub fn instantiate<S: Substrate + ?Sized>(&self, s: &mut S) -> Circuit {
         self.compile().instantiate(s)
     }
-
-    /// Binds the circuit the way the pre-plan engine did: one
-    /// [`Substrate::install_program`] — and thus one full predecode rebuild
-    /// — per gate fragment, and the frozen default [`READ_THRESHOLD`]
-    /// instead of a calibrated one. Kept as the serial comparator for the
-    /// batch engine's speedup measurements.
-    pub fn instantiate_per_unit<S: Substrate + ?Sized>(&self, s: &mut S) -> Circuit {
-        for u in &self.units {
-            s.install_program(Program::clone(&u.program));
-            if let Some((base, end)) = u.warm {
-                s.warm_code_range(base, end);
-            }
-        }
-        Circuit {
-            plan: self.compile(),
-            threshold: READ_THRESHOLD,
-        }
-    }
 }
 
 /// One output-initialization op of the flattened per-run protocol: flush
@@ -809,28 +791,6 @@ mod tests {
         // xor = and_or (level 1) -> not (level 2) -> and (level 3).
         assert_eq!(plan.gate_count(), 3);
         assert_eq!(plan.depth(), 3);
-    }
-
-    #[test]
-    fn plan_instantiate_matches_per_unit_binding() {
-        let (_m, mut lay) = setup();
-        let mut cb = CircuitBuilder::new();
-        let a = cb.input(&mut lay).unwrap();
-        let b = cb.input(&mut lay).unwrap();
-        let q = cb.xor(&mut lay, a, b).unwrap();
-        cb.mark_output(q);
-        let spec = cb.finish().unwrap();
-        let mut m1 = Machine::new(MachineConfig::quiet(), 7);
-        let mut m2 = Machine::new(MachineConfig::quiet(), 7);
-        let fast = spec.instantiate(&mut m1);
-        let slow = spec.instantiate_per_unit(&mut m2);
-        for (x, y) in [(false, false), (false, true), (true, false), (true, true)] {
-            assert_eq!(
-                fast.run(&mut m1, &[x, y]).unwrap(),
-                slow.run(&mut m2, &[x, y]).unwrap(),
-                "inputs ({x}, {y})"
-            );
-        }
     }
 
     #[test]

@@ -59,14 +59,6 @@ impl ShardedExecutor {
         }
     }
 
-    /// An executor with one shard per available CPU core.
-    pub fn per_core() -> Self {
-        let n = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        Self::new(n)
-    }
-
     /// Number of worker threads.
     pub fn shards(&self) -> usize {
         self.shards

@@ -388,7 +388,6 @@ impl WeirdGate for TsxXor {
 mod tests {
     use super::*;
     use crate::gate::verify_truth_table;
-    use crate::substrate::FlatEmulator;
     use uwm_sim::machine::{Machine, MachineConfig};
     use uwm_sim::trace::{ArchEvent, Tracer};
 
@@ -479,26 +478,26 @@ mod tests {
         }
     }
 
-    /// One spec, two backends: on the simulator the gate computes; on the
-    /// flat emulator the post-fault window does not exist, so the output
-    /// read is hit-like regardless of input — the gate degenerates. This
-    /// asymmetry is the emulation-detection signal of §7.
+    /// One spec, both execution models: on the microarchitectural model
+    /// the gate computes; on the flat model the post-fault window does not
+    /// exist, so the output read is hit-like regardless of input — the gate
+    /// degenerates. This asymmetry is the emulation-detection signal of §7.
     #[test]
     fn same_spec_instantiates_on_both_backends() {
-        let mut lay = Layout::new(crate::substrate::flat::DEFAULT_ALIAS_STRIDE);
+        let mut lay = Layout::new(crate::substrate::DEFAULT_ALIAS_STRIDE);
         let spec = TsxGate::spec(GateKind::TxAnd, &mut lay).unwrap();
 
         let mut m = Machine::new(MachineConfig::quiet(), 0);
         let g_sim = spec.instantiate(&mut m);
         assert_eq!(verify_truth_table(&g_sim, &mut m).unwrap(), None);
 
-        let mut f = FlatEmulator::new();
+        let mut f = Machine::new(MachineConfig::flat(), 0);
         let g_flat = spec.instantiate(&mut f);
         assert_eq!(g_sim, g_flat, "specs bind the same wiring everywhere");
         for (a, b) in [(false, false), (false, true), (true, false)] {
             assert!(
                 g_flat.execute(&mut f, &[a, b]).unwrap(),
-                "flat backend always reads hit-like: gate output degenerates to 1"
+                "flat model always reads hit-like: gate output degenerates to 1"
             );
         }
     }

@@ -15,8 +15,9 @@
 //!   32-bit logic including the full adder used by the SHA-1 demo;
 //! * [`substrate`] — the **execution backend abstraction**: gates are built
 //!   as machine-independent specs ([`gate::GateSpec`]) and bound to any
-//!   [`substrate::Substrate`] — the full [`uwm_sim`] machine or the flat
-//!   (no-MA) emulator used by the §7 emulation detector;
+//!   [`substrate::Substrate`] — the [`uwm_sim`] machine, in its full
+//!   microarchitectural model or the flat (no-MA) model used by the §7
+//!   emulation detector;
 //! * [`exec`] — a sharded executor that fans deterministic trial batches
 //!   across OS threads and merges results in batch order;
 //! * [`batch`] — the batch circuit-evaluation engine: compiled
@@ -67,5 +68,5 @@ pub mod prelude {
     pub use crate::layout::Layout;
     pub use crate::reg::{BpWr, BtbWr, DcWr, IcWr, MulWr, RobWr, VmxWr, WeirdRegister};
     pub use crate::skelly::{Redundancy, Skelly, SkellySpec};
-    pub use crate::substrate::{FlatEmulator, Substrate};
+    pub use crate::substrate::Substrate;
 }

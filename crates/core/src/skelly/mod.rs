@@ -17,8 +17,7 @@ use crate::gate::bp::BpGate;
 use crate::gate::tsx::{TsxGate, TsxXor};
 use crate::gate::{install_units, GateKind, GateReading, ProgramUnit, WeirdGate};
 use crate::layout::Layout;
-use crate::substrate::flat::DEFAULT_ALIAS_STRIDE;
-use crate::substrate::Substrate;
+use crate::substrate::{Substrate, DEFAULT_ALIAS_STRIDE};
 use uwm_sim::machine::{Machine, MachineConfig};
 
 /// Calibrates the hit/miss decision threshold on `s` by sampling timed
@@ -243,12 +242,6 @@ impl Skelly {
     /// Mutable access to the underlying machine.
     pub fn machine_mut(&mut self) -> &mut Machine {
         &mut self.m
-    }
-
-    /// Mutable access to the layout (for building additional structures —
-    /// circuits, application code — on the same machine).
-    pub fn layout_mut(&mut self) -> &mut Layout {
-        &mut self.lay
     }
 
     /// Splits the framework into machine + layout borrows (for wiring

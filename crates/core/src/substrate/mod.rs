@@ -8,50 +8,39 @@
 //! complete contract of that binding: program loading, code warming, timed
 //! reads, cache flushes, and a cycle source.
 //!
-//! Two implementations ship with the workspace:
+//! The one backend is [`uwm_sim::machine::Machine`], in either execution
+//! model:
 //!
-//! * [`uwm_sim::machine::Machine`] — the full microarchitectural
-//!   simulator (caches, speculation, TSX, predictors). Weird gates
-//!   *compute* on it.
-//! * [`FlatEmulator`] — an independent, purely architectural interpreter
-//!   with constant memory latency and no speculative windows. Weird gates
-//!   *degenerate* on it, which is exactly what the paper's §7 emulation
-//!   detector exploits: the same gate spec instantiated on both backends
-//!   distinguishes them.
-
-pub mod flat;
-
-pub use flat::{FlatEmulator, DEFAULT_ALIAS_STRIDE};
-
-use std::any::Any;
-use std::fmt;
+//! * the full microarchitectural model (caches, speculation, TSX,
+//!   predictors) — weird gates *compute* on it;
+//! * [`MachineConfig::flat`](uwm_sim::machine::MachineConfig::flat) — the
+//!   same ISA with fixed latencies and no speculative windows, the
+//!   "emulator" of the paper's §2.1. Weird gates *degenerate* on it, which
+//!   is exactly what the emulation detector exploits: the same gate spec
+//!   instantiated on both models distinguishes them.
+//!
+//! Code is written against the trait rather than `Machine` so that a
+//! pass-through wrapper (for example an instrumenting meter that times
+//! every call) can stand in for the machine.
 
 use uwm_sim::isa::{Program, Reg};
 use uwm_sim::machine::{Machine, RunOutcome};
 use uwm_sim::timing::LatencyConfig;
 
+/// Alias stride of the default simulator predictor (1024 entries ×
+/// 8-byte instructions): the stride a [`crate::layout::Layout`] must be
+/// built for to instantiate on a default-configured `Machine`.
+pub const DEFAULT_ALIAS_STRIDE: u64 = 8192;
+
 /// An opaque capture of a backend's complete state, produced by
 /// [`Substrate::snapshot`] and consumed by [`Substrate::restore`].
 ///
-/// The capture is backend-specific (a boxed deep copy of the concrete
-/// type), which keeps the trait object-safe: batch runners and the
-/// redundancy voter hold `&mut dyn Substrate` and still snapshot/restore.
-/// Restoring a snapshot into a *different* backend type panics — snapshots
-/// are not a serialization format.
-pub struct SubstrateSnapshot(Box<dyn Any + Send>);
-
-impl fmt::Debug for SubstrateSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("SubstrateSnapshot").finish()
-    }
-}
-
-impl SubstrateSnapshot {
-    /// Recovers the concrete backend state, if the types match.
-    pub(crate) fn downcast_ref<T: 'static>(&self) -> Option<&T> {
-        self.0.downcast_ref()
-    }
-}
+/// The capture is a boxed deep copy of the [`Machine`], which keeps the
+/// trait object-safe: batch runners and the redundancy voter hold
+/// `&mut dyn Substrate` and still snapshot/restore. Snapshots are not a
+/// serialization format.
+#[derive(Debug)]
+pub struct SubstrateSnapshot(Box<Machine>);
 
 /// Execution backend contract for weird gates, registers, and circuits.
 ///
@@ -140,15 +129,10 @@ pub trait Substrate {
     /// and statistics/trace accumulating — rewinding *state* without
     /// rewinding *time*. Used by the redundancy voter to rerun a prepared
     /// gate under fresh noise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snap` came from a different backend type.
     fn restore_keeping_clock(&mut self, snap: &SubstrateSnapshot);
 
     /// Restarts the backend's randomness from `seed`, as if it had been
-    /// constructed with that seed. Deterministic backends (the flat
-    /// emulator) treat this as a no-op.
+    /// constructed with that seed.
     fn reseed(&mut self, seed: u64);
 }
 
@@ -222,17 +206,11 @@ impl Substrate for Machine {
     }
 
     fn restore(&mut self, snap: &SubstrateSnapshot) {
-        let m = snap
-            .downcast_ref::<Machine>()
-            .expect("snapshot was taken from the uwm-sim backend");
-        self.restore_from(m);
+        self.restore_from(&snap.0);
     }
 
     fn restore_keeping_clock(&mut self, snap: &SubstrateSnapshot) {
-        let m = snap
-            .downcast_ref::<Machine>()
-            .expect("snapshot was taken from the uwm-sim backend");
-        self.restore_from_keeping_clock(m);
+        self.restore_from_keeping_clock(&snap.0);
     }
 
     fn reseed(&mut self, seed: u64) {
@@ -276,12 +254,12 @@ mod tests {
         a.push(Inst::Halt);
         let prog = a.finish().unwrap();
 
-        let mut m = Machine::new(MachineConfig::quiet(), 0);
-        let mut f = FlatEmulator::new();
-        for s in [&mut m as &mut dyn Substrate, &mut f as &mut dyn Substrate] {
+        for cfg in [MachineConfig::quiet(), MachineConfig::flat()] {
+            let mut m = Machine::new(cfg, 0);
+            let s = as_substrate(&mut m);
             s.install_program(prog.clone());
             assert_eq!(s.run_at(0x100), RunOutcome::Halted);
-            assert_eq!(s.read_word(0x10_0000), 7, "{}", s.backend_name());
+            assert_eq!(s.read_word(0x10_0000), 7);
         }
     }
 }

@@ -15,7 +15,7 @@ use uwm_core::gate::bp::BpGate;
 use uwm_core::gate::tsx::TsxXor;
 use uwm_core::gate::{GateKind, GateSpec, WeirdGate};
 use uwm_core::layout::Layout;
-use uwm_core::substrate::{FlatEmulator, Substrate, DEFAULT_ALIAS_STRIDE};
+use uwm_core::substrate::{Substrate, DEFAULT_ALIAS_STRIDE};
 use uwm_core::Result;
 use uwm_sim::machine::{Machine, MachineConfig};
 
@@ -98,7 +98,7 @@ fn circuit_pooled(plan: &CircuitPlan, inputs: &[Vec<bool>]) -> Vec<Observables> 
 }
 
 /// Backend-generic readings + end-cycles, serial or pooled, through the
-/// `Substrate` snapshot API (exercises the `FlatEmulator` impl too).
+/// `Substrate` snapshot API (exercises the flat model too).
 fn substrate_observed<S, F>(
     plan: &CircuitPlan,
     factory: F,
@@ -262,10 +262,17 @@ fn flat_batch_runner_matches_serial_reference_across_shard_counts() {
         (xor_circuit().compile(), xor_inputs),
         (adder_circuit().compile(), adder_inputs),
     ] {
-        let reference = substrate_observed(&plan, FlatEmulator::new, false, &inputs);
+        let reference = substrate_observed(
+            &plan,
+            || Machine::new(MachineConfig::flat(), SEED),
+            false,
+            &inputs,
+        );
         for shards in [1usize, 2, 4] {
             let runner = BatchRunner::new(plan.clone(), ShardedExecutor::new(shards), SEED);
-            let obs = runner.run_observed(FlatEmulator::new, &inputs).unwrap();
+            let obs = runner
+                .run_observed(|| Machine::new(MachineConfig::flat(), SEED), &inputs)
+                .unwrap();
             let got: Vec<(Vec<(bool, u64)>, u64)> = obs
                 .iter()
                 .map(|o| {

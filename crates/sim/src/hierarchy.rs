@@ -21,13 +21,6 @@ pub enum HitLevel {
     Mem,
 }
 
-impl HitLevel {
-    /// True when the access hit in any cache (i.e. not DRAM).
-    pub fn is_cache_hit(self) -> bool {
-        self != HitLevel::Mem
-    }
-}
-
 /// Configuration for a [`Hierarchy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HierarchyConfig {
@@ -150,14 +143,6 @@ impl Hierarchy {
         self.l3.invalidate(addr);
     }
 
-    /// Empties the whole hierarchy (machine reset).
-    pub fn flush_all(&mut self) {
-        self.l1i.flush_all();
-        self.l1d.flush_all();
-        self.l2.flush_all();
-        self.l3.flush_all();
-    }
-
     /// True if `addr`'s line is present in the L1 data cache. This is the
     /// ground-truth value of a DC-WR, used by tests and the analyzer.
     pub fn in_l1d(&self, addr: u64) -> bool {
@@ -168,12 +153,6 @@ impl Hierarchy {
     /// (ground truth of an IC-WR).
     pub fn in_l1i(&self, addr: u64) -> bool {
         self.l1i.contains(addr)
-    }
-
-    /// Evicts a specific line index from everywhere (helper for eviction-
-    /// based attacks/tests that work on line granularity).
-    pub fn evict_line(&mut self, line: u64) {
-        self.flush(line << crate::cache::LINE_SHIFT);
     }
 
     /// Aggregate `(hits, misses)` across L1D accesses.

@@ -559,7 +559,6 @@ enum Fixup {
     BrzTarget { index: usize, label: String },
     JmpTarget { index: usize, label: String },
     TouchTarget { index: usize, label: String },
-    FlushTarget { index: usize, label: String },
     XbeginTarget { index: usize, label: String },
 }
 
@@ -692,17 +691,6 @@ impl Assembler {
         at
     }
 
-    /// Emits `Flush` of `label`'s address (resolved at finish) — used to
-    /// flush *code* lines, the IC-WR write of Table 1.
-    pub fn flush_label(&mut self, label: &str) -> u64 {
-        let at = self.push(Inst::Flush { addr: 0 });
-        self.fixups.push(Fixup::FlushTarget {
-            index: self.insts.len() - 1,
-            label: label.to_owned(),
-        });
-        at
-    }
-
     /// Emits `Xbegin` whose abort handler is `label` (resolved at finish).
     pub fn xbegin(&mut self, label: &str) -> u64 {
         let at = self.push(Inst::Xbegin { handler: 0 });
@@ -743,7 +731,6 @@ impl Assembler {
                 }
                 Fixup::JmpTarget { index, label }
                 | Fixup::TouchTarget { index, label }
-                | Fixup::FlushTarget { index, label }
                 | Fixup::XbeginTarget { index, label } => {
                     let target = *self
                         .labels
@@ -754,9 +741,6 @@ impl Assembler {
                         (Inst::Jmp { .. }, Fixup::JmpTarget { .. }) => Inst::Jmp { target: t32 },
                         (Inst::TouchCode { .. }, Fixup::TouchTarget { .. }) => {
                             Inst::TouchCode { addr: t32 }
-                        }
-                        (Inst::Flush { .. }, Fixup::FlushTarget { .. }) => {
-                            Inst::Flush { addr: t32 }
                         }
                         (Inst::Xbegin { .. }, Fixup::XbeginTarget { .. }) => {
                             Inst::Xbegin { handler: t32 }

@@ -366,19 +366,9 @@ impl Machine {
         self.step_limit = limit;
     }
 
-    /// Swaps the noise configuration (e.g. between experiment phases).
-    pub fn set_noise(&mut self, noise: NoiseConfig) {
-        self.noise.set_config(noise);
-    }
-
     /// The latency configuration.
     pub fn latency(&self) -> &LatencyConfig {
         &self.cfg.latency
-    }
-
-    /// The execution model in effect.
-    pub fn model(&self) -> ExecutionModel {
-        self.cfg.model
     }
 
     // ------------------------------------------------------------------
@@ -441,15 +431,6 @@ impl Machine {
                 pc += INST_SIZE;
             }
         }
-    }
-
-    /// Resets MA state only: caches, predictors, contention. Architectural
-    /// registers/memory are untouched.
-    pub fn reset_ma(&mut self) {
-        self.hier.flush_all();
-        self.bp.reset();
-        self.btb.reset();
-        self.contention.reset();
     }
 
     // ------------------------------------------------------------------
@@ -1673,6 +1654,12 @@ mod tests {
         let a = m.timed_read(0x4000);
         let b = m.timed_read(0x4000);
         assert_eq!(a, b, "flat model: no hit/miss distinction");
+        m.flush_addr(0x4000);
+        assert_eq!(m.timed_read(0x4000), b, "no cache state to evict");
+        let c0 = m.cycles();
+        m.idle(100);
+        m.timed_read(0);
+        assert!(m.cycles() >= c0 + 100, "the clock only moves forward");
 
         // The post-fault TSX leak from the MA test does nothing here.
         let d0 = 0x4000u32;

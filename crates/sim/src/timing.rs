@@ -223,11 +223,6 @@ impl NoiseGen {
         &self.cfg
     }
 
-    /// Replaces the noise configuration, keeping the RNG stream.
-    pub fn set_config(&mut self, cfg: NoiseConfig) {
-        self.cfg = cfg;
-    }
-
     /// Restarts the RNG stream from `seed`, keeping the configuration.
     ///
     /// After this call the generator draws exactly the sequence a fresh

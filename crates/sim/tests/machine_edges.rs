@@ -202,10 +202,15 @@ fn single_byte_corruption_changes_decode() {
 }
 
 /// Flat (emulator) mode executes architecturally identically to the MA
-/// mode for a deterministic program.
+/// mode for deterministic programs: a plain loop, a transaction whose
+/// store and register write are rolled back by a division fault, and a
+/// transaction that `Halt`s (a syscall-class event, so it aborts to the
+/// handler instead of halting). The MA model runs a post-fault window
+/// after the division; the flat model opens none — the property the
+/// emulation detector relies on.
 #[test]
 fn flat_and_ma_models_agree_architecturally() {
-    let build = || {
+    let counting_loop = {
         let mut a = Assembler::new(0);
         a.push(Inst::Mov {
             dst: 0,
@@ -242,40 +247,104 @@ fn flat_and_ma_models_agree_architecturally() {
         a.push(Inst::Halt);
         a.finish().unwrap()
     };
-    let mut ma = Machine::new(MachineConfig::quiet(), 1);
-    ma.load_program(build());
-    let mut flat = Machine::new(MachineConfig::flat(), 1);
-    flat.load_program(build());
-    assert_eq!(ma.run_at(0), RunOutcome::Halted);
-    assert_eq!(flat.run_at(0), RunOutcome::Halted);
-    for r in 0..16 {
-        assert_eq!(ma.reg(r), flat.reg(r), "register {r}");
+    let faulting_tx = {
+        let mut a = Assembler::new(0);
+        a.xbegin("handler");
+        a.push(Inst::Mov {
+            dst: 1,
+            src: Operand::Imm(1),
+        });
+        a.push(Inst::Store {
+            addr: 0x4000,
+            src: 1,
+        });
+        a.push(Inst::Div {
+            dst: 2,
+            a: 2,
+            b: Operand::Imm(0),
+        });
+        a.push(Inst::Load {
+            dst: 3,
+            addr: 0x4400,
+        });
+        a.push(Inst::Xend);
+        a.label("handler").unwrap();
+        a.push(Inst::Halt);
+        a.finish().unwrap()
+    };
+    let halting_tx = {
+        let mut a = Assembler::new(0);
+        a.xbegin("handler");
+        a.push(Inst::Halt);
+        a.label("handler").unwrap();
+        a.push(Inst::Mov {
+            dst: 3,
+            src: Operand::Imm(9),
+        });
+        a.push(Inst::Store {
+            addr: 0x4008,
+            src: 3,
+        });
+        a.push(Inst::Halt);
+        a.finish().unwrap()
+    };
+    // (name, program, expected register, expected memory word)
+    for (name, prog, (reg, value), (addr, word)) in [
+        ("counting loop", counting_loop, (5, 30), (0x4000, 0)),
+        ("faulting transaction", faulting_tx, (1, 0), (0x4000, 7)),
+        ("halting transaction", halting_tx, (3, 9), (0x4008, 9)),
+    ] {
+        let run = |cfg: MachineConfig| {
+            let mut m = Machine::new(cfg, 1);
+            m.mem_mut().write_u64(0x4000, 7);
+            m.load_program(prog.clone());
+            assert_eq!(m.run_at(0), RunOutcome::Halted, "{name}");
+            m
+        };
+        let ma = run(MachineConfig::quiet());
+        let flat = run(MachineConfig::flat());
+        assert_eq!(flat.reg(reg), value, "{name}: register {reg}");
+        assert_eq!(flat.mem().read_u64(addr), word, "{name}: word {addr:#x}");
+        for r in 0..16 {
+            assert_eq!(ma.reg(r), flat.reg(r), "{name}: register {r}");
+        }
+        assert_eq!(ma.mem().read_u64(addr), word, "{name}: word {addr:#x}");
+        assert_eq!(ma.stats().tx_aborted, flat.stats().tx_aborted, "{name}");
+        // No window may run on the flat model, nor even fetch (a window's
+        // fetch would fill the I-cache that flat execution never touches).
+        assert_eq!(flat.stats().speculative_insts, 0, "{name}: flat speculated");
+        assert!(!flat.hierarchy().in_l1i(0), "{name}: flat window fetched");
+        if name == "faulting transaction" {
+            assert!(ma.stats().speculative_insts > 0, "MA post-fault window");
+        }
     }
-    assert_eq!(ma.mem().read_u64(0x4000), flat.mem().read_u64(0x4000));
 }
 
-/// Div-by-zero via a register divisor faults like an immediate one.
+/// Div-by-zero via a register divisor faults like an immediate one, on
+/// both execution models, and surfaces at the faulting instruction.
 #[test]
 fn div_by_zero_register_faults() {
-    let mut m = quiet();
-    let mut a = Assembler::new(0);
-    a.push(Inst::Mov {
-        dst: 2,
-        src: Operand::Imm(0),
-    });
-    a.push(Inst::Div {
-        dst: 1,
-        a: 1,
-        b: Operand::Reg(2),
-    });
-    m.load_program(a.finish().unwrap());
-    assert!(matches!(
-        m.run_at(0),
-        RunOutcome::Fault {
-            cause: FaultCause::DivByZero,
-            ..
-        }
-    ));
+    for cfg in [MachineConfig::quiet(), MachineConfig::flat()] {
+        let mut m = Machine::new(cfg, 0);
+        let mut a = Assembler::new(0);
+        a.push(Inst::Mov {
+            dst: 2,
+            src: Operand::Imm(0),
+        });
+        a.push(Inst::Div {
+            dst: 1,
+            a: 1,
+            b: Operand::Reg(2),
+        });
+        m.load_program(a.finish().unwrap());
+        assert_eq!(
+            m.run_at(0),
+            RunOutcome::Fault {
+                pc: INST_SIZE,
+                cause: FaultCause::DivByZero
+            }
+        );
+    }
 }
 
 /// Self-modifying code: a program that overwrites one of its own

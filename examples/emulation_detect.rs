@@ -1,16 +1,16 @@
 //! μWM as an emulation detector (§2.1 of the paper).
 //!
-//! One machine-independent probe spec is instantiated on two [`Substrate`]
-//! backends — the full microarchitectural model and a flat architectural
-//! interpreter. Weird gates compute on the former and degenerate on the
-//! latter, so a program can refuse to run under analysis, with no gate
-//! code duplicated per backend.
+//! One machine-independent probe spec is instantiated on the two execution
+//! models of the simulated machine — the full microarchitectural model and
+//! the flat emulator model (fixed latencies, no speculation). Weird gates
+//! compute on the former and degenerate on the latter, so a program can
+//! refuse to run under analysis, with no gate code duplicated per model.
 //!
 //! Run with: `cargo run -p uwm-apps --example emulation_detect`
 
 use uwm_apps::emulation::{classify, probe_spec};
 use uwm_core::layout::Layout;
-use uwm_core::substrate::{FlatEmulator, Substrate};
+use uwm_core::substrate::Substrate;
 use uwm_sim::machine::{Machine, MachineConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -19,10 +19,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = probe_spec(&mut lay)?;
 
     let mut machine = Machine::new(MachineConfig::default(), 99);
-    let mut flat = FlatEmulator::new();
+    let mut flat = Machine::new(MachineConfig::flat(), 99);
     let backends: [(&str, &mut dyn Substrate); 2] = [
         ("uwm_sim::Machine (microarchitectural model)", &mut machine),
-        ("FlatEmulator     (architectural interpreter)", &mut flat),
+        ("uwm_sim::Machine (flat emulator model)     ", &mut flat),
     ];
     for (label, s) in backends {
         let gate = spec.instantiate(s);
@@ -41,8 +41,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     {
-        let mut flat = FlatEmulator::new();
-        let mut lay = Layout::new(flat.alias_stride());
+        let mut flat = Machine::new(MachineConfig::flat(), 3);
+        let mut lay = Layout::new(flat.predictor().alias_stride());
         report(
             "emulated",
             uwm_apps::emulation::guarded_multiply(&mut flat, &mut lay, 6, 7)?,
