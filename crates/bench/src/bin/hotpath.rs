@@ -24,9 +24,10 @@
 //! the same binary documents an optimization (`BENCH_hotpath.json` at the
 //! repo root is maintained this way). With `--check-regression FRAC` the
 //! run exits non-zero when throughput regresses more than `FRAC` against
-//! the baseline: per-workload rates are first normalized by the run's own
-//! `bp_and` rate so the comparison cancels host speed (CI runners and dev
-//! machines differ), and the in-run `adder32_batch` / `adder32_serial`
+//! the baseline: each workload is measured between two `bp_and` anchor
+//! passes and its rate normalized by their mean, so the comparison
+//! cancels host speed (CI runners and dev machines differ) and drift
+//! during the run; the in-run `adder32_batch` / `adder32_serial`
 //! speedup — a pure ratio, host-independent at a fixed shard count — is
 //! compared directly.
 
@@ -65,6 +66,9 @@ struct Workload {
     /// workloads, ~hundreds for the adder).
     gate_evals_per_op: f64,
     committed_insts_per_op: f64,
+    /// Mean `bp_and` rate of the anchor passes run just before and just
+    /// after this workload (`bp_and`'s own rate for `bp_and`).
+    anchor_evals_per_sec: f64,
 }
 
 impl Workload {
@@ -89,6 +93,7 @@ impl Workload {
                 Json::Num(self.committed_insts_per_op),
             ),
             ("committed_insts_per_sec", Json::Num(self.insts_per_sec())),
+            ("anchor_evals_per_sec", Json::Num(self.anchor_evals_per_sec)),
         ])
     }
 }
@@ -121,6 +126,7 @@ fn gate_workload(name: &'static str, kind: GateKind, seed: u64, count_ops: u64) 
         max_ns_per_op: m.max_ns,
         gate_evals_per_op: 1.0,
         committed_insts_per_op: insts_per_op,
+        anchor_evals_per_sec: 0.0,
     }
 }
 
@@ -156,6 +162,7 @@ fn adder_workload(seed: u64, count_ops: u64) -> Workload {
         max_ns_per_op: m.max_ns,
         gate_evals_per_op: gates_per_op,
         committed_insts_per_op: insts_per_op,
+        anchor_evals_per_sec: 0.0,
     }
 }
 
@@ -201,6 +208,7 @@ fn adder32_serial_workload(spec: &CircuitSpec, seed: u64, count_ops: u64) -> Wor
         max_ns_per_op: m.max_ns,
         gate_evals_per_op,
         committed_insts_per_op: insts_per_op,
+        anchor_evals_per_sec: 0.0,
     }
 }
 
@@ -249,6 +257,7 @@ fn adder32_batch_workload(spec: &CircuitSpec, seed: u64, shards: usize, items: u
         max_ns_per_op: m.max_ns / n,
         gate_evals_per_op,
         committed_insts_per_op: insts_per_op,
+        anchor_evals_per_sec: 0.0,
     }
 }
 
@@ -284,17 +293,23 @@ fn sha1_block_workload(seed: u64, shards: usize, blocks: u64) -> Workload {
         max_ns_per_op: m.max_ns / n,
         gate_evals_per_op,
         committed_insts_per_op: insts_per_op,
+        anchor_evals_per_sec: 0.0,
     }
 }
 
-/// Pulls `gate_evals_per_sec` for `name` out of a parsed report.
-fn baseline_rate(doc: &Json, name: &str) -> Option<f64> {
+/// Pulls `field` of workload `name` out of a parsed report.
+fn baseline_field(doc: &Json, name: &str, field: &str) -> Option<f64> {
     doc.get("workloads")?
         .as_arr()?
         .iter()
         .find(|w| w.get("name").and_then(Json::as_str) == Some(name))?
-        .get("gate_evals_per_sec")?
+        .get(field)?
         .as_f64()
+}
+
+/// Pulls `gate_evals_per_sec` for `name` out of a parsed report.
+fn baseline_rate(doc: &Json, name: &str) -> Option<f64> {
+    baseline_field(doc, name, "gate_evals_per_sec")
 }
 
 fn main() {
@@ -313,19 +328,36 @@ fn main() {
     println!();
 
     let circuit = adder_circuit();
-    let workloads = [
-        gate_workload("bp_and", GateKind::And, seed, scaled(256, args.scale)),
-        gate_workload(
-            "tsx_xor",
-            GateKind::TxXor,
-            seed + 1,
-            scaled(256, args.scale),
-        ),
-        adder_workload(seed + 2, scaled(8, args.scale)),
-        adder32_serial_workload(&circuit, seed + 4, scaled(4, args.scale)),
-        adder32_batch_workload(&circuit, seed + 5, args.shards, scaled(256, args.scale)),
-        sha1_block_workload(seed + 6, args.shards, scaled(16, args.scale)),
+    let bp_and = || gate_workload("bp_and", GateKind::And, seed, scaled(256, args.scale));
+    let measures: [Box<dyn Fn() -> Workload + '_>; 5] = [
+        Box::new(|| {
+            gate_workload(
+                "tsx_xor",
+                GateKind::TxXor,
+                seed + 1,
+                scaled(256, args.scale),
+            )
+        }),
+        Box::new(|| adder_workload(seed + 2, scaled(8, args.scale))),
+        Box::new(|| adder32_serial_workload(&circuit, seed + 4, scaled(4, args.scale))),
+        Box::new(|| {
+            adder32_batch_workload(&circuit, seed + 5, args.shards, scaled(256, args.scale))
+        }),
+        Box::new(|| sha1_block_workload(seed + 6, args.shards, scaled(16, args.scale))),
     ];
+    // Every workload runs between two `bp_and` anchor passes; the first
+    // pass is the `bp_and` row itself.
+    let mut first = bp_and();
+    first.anchor_evals_per_sec = first.gate_evals_per_sec();
+    let mut before = first.anchor_evals_per_sec;
+    let mut workloads = vec![first];
+    for measure in &measures {
+        let mut w = measure();
+        let after = bp_and().gate_evals_per_sec();
+        w.anchor_evals_per_sec = (before + after) / 2.0;
+        before = after;
+        workloads.push(w);
+    }
     let rate_of = |name: &str| -> f64 {
         workloads
             .iter()
@@ -434,27 +466,29 @@ fn main() {
         speedups.push(("batch_vs_serial", Json::Num(batch_vs_serial)));
 
         if let Some(frac) = args.check_regression {
-            let anchor = rate_of("bp_and");
-            match baseline_rate(&doc, "bp_and") {
-                None => regressions.push("baseline has no bp_and anchor workload".to_owned()),
-                Some(base_anchor) => {
-                    for w in &workloads {
-                        if w.name == "bp_and" {
-                            continue;
-                        }
-                        let Some(base) = baseline_rate(&doc, w.name) else {
-                            continue;
-                        };
-                        let rel = (w.gate_evals_per_sec() / anchor) / (base / base_anchor);
-                        if rel < 1.0 - frac {
-                            regressions.push(format!(
-                                "{}: {rel:.2}x of baseline (bp_and-normalized), \
-                                 below the {:.2} floor",
-                                w.name,
-                                1.0 - frac
-                            ));
-                        }
-                    }
+            for w in &workloads {
+                if w.name == "bp_and" {
+                    continue;
+                }
+                let Some(base) = baseline_rate(&doc, w.name) else {
+                    continue;
+                };
+                // Reports written before per-workload anchors fall back
+                // to their single `bp_and` pass.
+                let Some(base_anchor) = baseline_field(&doc, w.name, "anchor_evals_per_sec")
+                    .or_else(|| baseline_rate(&doc, "bp_and"))
+                else {
+                    regressions.push("baseline has no bp_and anchor workload".to_owned());
+                    break;
+                };
+                let rel = (w.gate_evals_per_sec() / w.anchor_evals_per_sec) / (base / base_anchor);
+                if rel < 1.0 - frac {
+                    regressions.push(format!(
+                        "{}: {rel:.2}x of baseline (bp_and-normalized), \
+                         below the {:.2} floor",
+                        w.name,
+                        1.0 - frac
+                    ));
                 }
             }
             if let Some(base_ratio) = doc

@@ -13,8 +13,9 @@
 //! 1. each shard builds one backend, binds the plan to it
 //!    ([`CircuitPlan::instantiate`] — one predecode pass, warm, calibrate),
 //!    and takes a [`Substrate::snapshot`] of the warmed state;
-//! 2. for every item the shard restores the snapshot (O(touched state):
-//!    resident pages are overwritten in place), reseeds the backend's
+//! 2. for every item the shard restores the snapshot (the cache sets the
+//!    previous item wrote and every resident page, overwritten in place;
+//!    the program image is shared, not copied), reseeds the backend's
 //!    randomness with [`batch_seed`]`(seed, item)`, and runs the circuit.
 //!
 //! Because the restore is *full* — clock, RNG, statistics and trace

@@ -38,7 +38,7 @@ pub enum PredictorKind {
 /// for _ in 0..4 { bp.update(pc, false); }
 /// assert!(!bp.predict(pc));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DirectionPredictor {
     kind: PredictorKind,
     table: Vec<u8>,
@@ -140,7 +140,7 @@ impl DirectionPredictor {
 /// btb.update(0x100, 0x900);
 /// assert_eq!(btb.lookup(0x100), Some(0x900));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Btb {
     /// `(tag, target)` per entry.
     entries: Vec<Option<(u64, u64)>>,

@@ -70,7 +70,25 @@ impl CacheConfig {
     }
 }
 
+/// Which sets [`Cache::restore_from`] copies from the snapshot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RestoreScope {
+    /// Every set: nothing is known about how the two caches relate.
+    Full,
+    /// The sets either side wrote since their shared anchor.
+    Dirty,
+    /// [`RestoreScope::Dirty`] plus the sets the snapshot itself had
+    /// written relative to the target's anchor when it was taken.
+    DirtyAndBase,
+}
+
 /// A set-associative cache of line tags.
+///
+/// Every write to a set (a hit's replacement touch, a fill, an
+/// invalidation that cleared a tag) lists the set once in a dirty list,
+/// so a restore can copy just the sets that may differ from the snapshot
+/// the cache was last restored from. The machine owns the snapshot
+/// bookkeeping; see `Machine::restore_from`.
 ///
 /// # Examples
 ///
@@ -93,6 +111,13 @@ pub struct Cache {
     repl: Vec<SetState>,
     hits: u64,
     misses: u64,
+    /// Sets written since the machine's anchor snapshot, each listed once.
+    dirty: Vec<u32>,
+    /// One bit per set: is it in `dirty`?
+    dirty_bits: Box<[u64]>,
+    /// Snapshots only: the sets this snapshot differed in from its own
+    /// anchor when it was taken.
+    base: Vec<u32>,
 }
 
 /// Sentinel for an empty way. Unreachable as a real line index: line
@@ -126,9 +151,12 @@ impl Cache {
                     )
                 })
                 .collect(),
+            dirty_bits: vec![0; cfg.sets.div_ceil(64)].into_boxed_slice(),
             cfg,
             hits: 0,
             misses: 0,
+            dirty: Vec::new(),
+            base: Vec::new(),
         }
     }
 
@@ -163,25 +191,13 @@ impl Cache {
         let ways = &self.tags[self.set_range(line)];
         if let Some(way) = ways.iter().position(|&t| t == line) {
             self.repl[set].touch(way, self.cfg.ways);
+            self.mark(set);
             self.hits += 1;
             return (true, None);
         }
         self.misses += 1;
         let evicted = self.fill_line(line);
         (false, evicted)
-    }
-
-    /// Inserts `addr`'s line without counting a hit/miss (used for fills
-    /// propagated from another level). Returns the evicted line, if any.
-    pub fn fill(&mut self, addr: u64) -> Option<u64> {
-        let line = line_of(addr);
-        let set = self.set_of(line);
-        let ways = &self.tags[self.set_range(line)];
-        if let Some(way) = ways.iter().position(|&t| t == line) {
-            self.repl[set].touch(way, self.cfg.ways);
-            return None;
-        }
-        self.fill_line(line)
     }
 
     fn fill_line(&mut self, line: u64) -> Option<u64> {
@@ -199,7 +215,19 @@ impl Cache {
         };
         self.tags[range.start + way] = line;
         self.repl[set].touch(way, self.cfg.ways);
+        self.mark(set);
         evicted
+    }
+
+    /// Lists `set` as written since the anchor (once).
+    #[inline]
+    fn mark(&mut self, set: usize) {
+        let bit = 1u64 << (set % 64);
+        let word = &mut self.dirty_bits[set / 64];
+        if *word & bit == 0 {
+            *word |= bit;
+            self.dirty.push(set as u32);
+        }
     }
 
     /// Non-invasive presence check: does not touch replacement state or
@@ -213,16 +241,10 @@ impl Cache {
     pub fn invalidate(&mut self, addr: u64) {
         let line = line_of(addr);
         let range = self.set_range(line);
-        for t in &mut self.tags[range] {
-            if *t == line {
-                *t = INVALID_TAG;
-            }
+        if let Some(t) = self.tags[range].iter_mut().find(|t| **t == line) {
+            *t = INVALID_TAG;
+            self.mark(self.set_of(line));
         }
-    }
-
-    /// Empties the cache entirely.
-    pub fn flush_all(&mut self) {
-        self.tags.fill(INVALID_TAG);
     }
 
     /// `(hits, misses)` counted by [`Cache::access`].
@@ -233,6 +255,69 @@ impl Cache {
     /// Number of valid lines currently cached.
     pub fn occupancy(&self) -> usize {
         self.tags.iter().filter(|&&t| t != INVALID_TAG).count()
+    }
+
+    /// Makes this cache's contents and counters equal `snap`'s, copying
+    /// the sets `scope` names, and adopts `snap`'s dirty list. A geometry
+    /// mismatch forces a full copy.
+    pub(crate) fn restore_from(&mut self, snap: &Cache, scope: RestoreScope) {
+        if scope == RestoreScope::Full || self.cfg != snap.cfg {
+            self.cfg = snap.cfg;
+            self.tags.clone_from(&snap.tags);
+            self.repl.clone_from(&snap.repl);
+            self.dirty_bits.clone_from(&snap.dirty_bits);
+        } else {
+            let base: &[u32] = match scope {
+                RestoreScope::DirtyAndBase => &snap.base,
+                _ => &[],
+            };
+            let ways = self.cfg.ways;
+            for &set in self.dirty.iter().chain(&snap.dirty).chain(base) {
+                let set = set as usize;
+                let range = set * ways..(set + 1) * ways;
+                self.tags[range.clone()].copy_from_slice(&snap.tags[range]);
+                self.repl[set] = snap.repl[set];
+            }
+            // Every set bit belongs to a listed set, so zeroing the words
+            // of the listed sets clears exactly the list.
+            for &set in &self.dirty {
+                self.dirty_bits[set as usize / 64] = 0;
+            }
+            for &set in &snap.dirty {
+                self.dirty_bits[set as usize / 64] |= 1 << (set % 64);
+            }
+        }
+        self.dirty.clone_from(&snap.dirty);
+        self.hits = snap.hits;
+        self.misses = snap.misses;
+    }
+
+    /// Turns a fresh copy into a snapshot's view: the sets written since
+    /// the anchor become the snapshot's base list, and its live dirty
+    /// list starts empty.
+    pub(crate) fn rebase(&mut self) {
+        // As in `restore_from`: zeroing the listed sets' words clears
+        // exactly the list.
+        for &set in &self.dirty {
+            self.dirty_bits[set as usize / 64] = 0;
+        }
+        self.base = std::mem::take(&mut self.dirty);
+    }
+
+    /// Number of sets in the live dirty list.
+    #[cfg(test)]
+    pub(crate) fn dirty_sets(&self) -> usize {
+        self.dirty.len()
+    }
+
+    /// Whole-state equality: geometry, tags, replacement state and
+    /// counters (not the dirty bookkeeping).
+    #[cfg(test)]
+    pub(crate) fn same_state(&self, other: &Cache) -> bool {
+        self.cfg == other.cfg
+            && self.tags == other.tags
+            && self.repl == other.repl
+            && self.stats() == other.stats()
     }
 }
 
@@ -292,22 +377,32 @@ mod tests {
     }
 
     #[test]
-    fn fill_does_not_count_stats() {
-        let mut c = tiny();
-        c.fill(0);
-        assert_eq!(c.stats(), (0, 0));
-        assert!(c.contains(0));
-    }
-
-    #[test]
-    fn occupancy_and_flush_all() {
+    fn occupancy_counts_valid_lines() {
         let mut c = tiny();
         c.access(0);
         c.access(64);
         c.access(128);
         assert_eq!(c.occupancy(), 3);
-        c.flush_all();
+        for addr in [0, 64, 128] {
+            c.invalidate(addr);
+        }
         assert_eq!(c.occupancy(), 0);
+    }
+
+    #[test]
+    fn every_write_lists_its_set_once() {
+        let mut c = tiny();
+        c.access(0); // miss: fill set 0
+        c.access(0); // hit: LRU touch of set 0
+        c.invalidate(64); // absent line: set 1 untouched
+        assert_eq!(c.dirty, [0]);
+        c.access(64);
+        c.invalidate(64);
+        assert_eq!(c.dirty, [0, 1]);
+        c.rebase();
+        assert!(c.dirty.is_empty());
+        assert_eq!(c.base, [0, 1]);
+        assert!(c.dirty_bits.iter().all(|&w| w == 0));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! `clflush` semantics (evict from *every* level) and cross-level
 //! entanglement depend on it.
 
-use crate::cache::{line_of, Cache, CacheConfig};
+use crate::cache::{line_of, Cache, CacheConfig, RestoreScope};
 
 /// Where an access was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -164,6 +164,43 @@ impl Hierarchy {
     /// are the main reason the paper's `skelly` framework exists (§6.2).
     pub fn same_line(a: u64, b: u64) -> bool {
         line_of(a) == line_of(b)
+    }
+
+    fn caches_mut(&mut self) -> [&mut Cache; 4] {
+        [&mut self.l1i, &mut self.l1d, &mut self.l2, &mut self.l3]
+    }
+
+    /// [`Cache::restore_from`] on every level.
+    pub(crate) fn restore_from(&mut self, snap: &Hierarchy, scope: RestoreScope) {
+        let src = [&snap.l1i, &snap.l1d, &snap.l2, &snap.l3];
+        for (dst, src) in self.caches_mut().into_iter().zip(src) {
+            dst.restore_from(src, scope);
+        }
+    }
+
+    /// [`Cache::rebase`] on every level.
+    pub(crate) fn rebase(&mut self) {
+        for c in self.caches_mut() {
+            c.rebase();
+        }
+    }
+
+    /// Sets listed dirty across all levels.
+    #[cfg(test)]
+    pub(crate) fn dirty_sets(&self) -> usize {
+        [&self.l1i, &self.l1d, &self.l2, &self.l3]
+            .iter()
+            .map(|c| c.dirty_sets())
+            .sum()
+    }
+
+    /// Whole-state equality of every level (see [`Cache::same_state`]).
+    #[cfg(test)]
+    pub(crate) fn same_state(&self, other: &Hierarchy) -> bool {
+        self.l1i.same_state(&other.l1i)
+            && self.l1d.same_state(&other.l1d)
+            && self.l2.same_state(&other.l2)
+            && self.l3.same_state(&other.l3)
     }
 }
 

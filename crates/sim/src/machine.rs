@@ -12,8 +12,11 @@
 //!   emulation-detection use case (§2.1).
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::branch::{Btb, DirectionPredictor, PredictorKind};
+use crate::cache::RestoreScope;
 use crate::contention::Contention;
 use crate::hierarchy::{Hierarchy, HierarchyConfig, HitLevel};
 use crate::isa::{brz_target, AluOp, Inst, Operand, Program, Reg, INST_SIZE, NUM_REGS};
@@ -198,6 +201,26 @@ impl InflightTable {
     }
 }
 
+/// Source of snapshot ids; 0 is never handed out and means "none".
+/// The ids publish no other data, so `Relaxed` increments suffice.
+static NEXT_SNAPSHOT_ID: AtomicU64 = AtomicU64::new(1);
+
+/// Which snapshot the caches' dirty-set lists are relative to. Every id
+/// names the state of one snapshot at the moment it was taken, `R(id)`.
+///
+/// * `anchor`: the machine differs from `R(anchor)` only in its caches'
+///   dirty sets (0: unknown, so the next restore copies everything).
+/// * `id`, `base_anchor` (snapshots only): `R(id)` differs from
+///   `R(base_anchor)` only in the caches' base lists.
+///
+/// Both hold for a derived `Clone` too, since a copy is the same state.
+#[derive(Debug, Clone, Copy, Default)]
+struct Lineage {
+    anchor: u64,
+    id: u64,
+    base_anchor: u64,
+}
+
 /// Reusable speculative-window scratch owned by the machine, so opening a
 /// window allocates nothing in steady state.
 #[derive(Debug, Clone, Default)]
@@ -236,14 +259,17 @@ pub struct Machine {
     contention: Contention,
     noise: NoiseGen,
     tracer: Tracer,
-    program: Program,
-    code: CodeCache,
+    /// Fixed after set-up, so snapshots share it instead of copying it.
+    program: Arc<Program>,
+    /// Copy-on-write: cloned only if written while a snapshot shares it.
+    code: Arc<CodeCache>,
     cycles: u64,
     tx: Option<TxState>,
     stats: MachineStats,
     step_limit: u64,
     spec_scratch: SpecScratch,
     undo_pool: Vec<(u64, u64)>,
+    lineage: Lineage,
 }
 
 impl Machine {
@@ -258,14 +284,15 @@ impl Machine {
             contention: Contention::new(),
             noise: NoiseGen::new(cfg.noise.clone(), seed),
             tracer: Tracer::disabled(),
-            program: Program::new(),
-            code: CodeCache::new(),
+            program: Arc::default(),
+            code: Arc::default(),
             cycles: 0,
             tx: None,
             stats: MachineStats::default(),
             step_limit: 10_000_000,
             spec_scratch: SpecScratch::default(),
             undo_pool: Vec::new(),
+            lineage: Lineage::default(),
             cfg,
         }
     }
@@ -281,21 +308,21 @@ impl Machine {
 
     /// Replaces the loaded program and predecodes it.
     pub fn load_program(&mut self, program: Program) {
-        self.program = program;
-        self.code.rebuild(&self.program);
+        self.program = Arc::new(program);
+        Arc::make_mut(&mut self.code).rebuild(&self.program);
     }
 
     /// Merges additional code into the loaded program and repredecodes.
     pub fn add_program(&mut self, program: Program) {
-        self.program.merge(program);
-        self.code.rebuild(&self.program);
+        Arc::make_mut(&mut self.program).merge(program);
+        Arc::make_mut(&mut self.code).rebuild(&self.program);
     }
 
     /// Merges additional code from a shared reference and repredecodes —
     /// no intermediate [`Program`] clone.
     pub fn add_program_from(&mut self, program: &Program) {
-        self.program.merge_from(program);
-        self.code.rebuild(&self.program);
+        Arc::make_mut(&mut self.program).merge_from(program);
+        Arc::make_mut(&mut self.code).rebuild(&self.program);
     }
 
     /// The loaded static program.
@@ -310,10 +337,11 @@ impl Machine {
 
     /// Mutable direct memory access (no MA effects). Writes through this
     /// handle cannot be intercepted per address, so dynamically decoded
-    /// instructions are dropped from the predecode cache before the next
-    /// fetch trusts it.
+    /// instructions are dropped from the predecode cache up front.
     pub fn mem_mut(&mut self) -> &mut Memory {
-        self.code.mark_external_dirty();
+        if self.code.has_dynamic() {
+            Arc::make_mut(&mut self.code).drop_dynamic();
+        }
         &mut self.mem
     }
 
@@ -422,7 +450,6 @@ impl Machine {
         // Predecode the range too (no timing effect): freshly assembled
         // stubs are typically executed right after warming.
         if self.cfg.predecode {
-            self.code.sync_external();
             let mut pc = base - base % INST_SIZE;
             while pc < end {
                 if self.code.lookup(pc).is_none() {
@@ -442,47 +469,86 @@ impl Machine {
     /// predecode cache, in-flight transaction), plus the clock, noise RNG,
     /// statistics and tracer. A machine restored from the snapshot
     /// reproduces every subsequent observable bit for bit.
+    ///
+    /// The copy is full, except that the program and the predecode cache
+    /// are shared rather than copied. It gets a fresh snapshot id and
+    /// records which cache sets it differs in from this machine's anchor
+    /// (the snapshot this machine was last restored from), so a machine
+    /// on that anchor can later restore from it by copying only those
+    /// sets. A snapshot stays exact if it is run afterwards.
     pub fn snapshot(&self) -> Box<Machine> {
-        Box::new(self.clone())
+        let mut snap = Box::new(self.clone());
+        let id = NEXT_SNAPSHOT_ID.fetch_add(1, Ordering::Relaxed);
+        snap.lineage = Lineage {
+            anchor: id,
+            id,
+            base_anchor: self.lineage.anchor,
+        };
+        snap.hier.rebase();
+        snap
     }
 
-    /// Restores every field from `snap`, reusing existing allocations
-    /// where possible so repeated restores in a batch loop cost memcpy,
-    /// not malloc.
+    /// Restores every field from `snap`, reusing existing allocations, so
+    /// repeated restores in a batch loop cost memcpy, not malloc.
+    ///
+    /// The program and predecode cache become pointer copies of `snap`'s.
+    /// The caches copy only the sets that may differ:
+    ///
+    /// * this machine and `snap` share an anchor (for instance, this
+    ///   machine was last restored from `snap`): the sets either one
+    ///   wrote since that anchor;
+    /// * `snap` was taken from a machine on this machine's anchor (the
+    ///   redundancy voter's snapshot of a machine itself restored from a
+    ///   batch snapshot): those sets plus the ones `snap` differed in
+    ///   from the anchor when it was taken;
+    /// * otherwise (the first restore of a machine): every set.
+    ///
+    /// Afterwards this machine is anchored where `snap` is. Memory copies
+    /// every page resident in `snap`; the predictor, the BTB and the rest
+    /// are copied whole.
     pub fn restore_from(&mut self, snap: &Machine) {
+        self.restore_state(snap);
         self.cfg = snap.cfg.clone();
-        self.regs = snap.regs;
-        self.mem.restore_from(&snap.mem);
-        self.hier.clone_from(&snap.hier);
-        self.bp.clone_from(&snap.bp);
-        self.btb.clone_from(&snap.btb);
-        self.contention = snap.contention.clone();
         self.noise = snap.noise.clone();
         self.tracer.clone_from(&snap.tracer);
-        self.program.clone_from(&snap.program);
-        self.code.clone_from(&snap.code);
         self.cycles = snap.cycles;
-        self.tx.clone_from(&snap.tx);
         self.stats = snap.stats;
         self.step_limit = snap.step_limit;
-        self.spec_scratch.clone_from(&snap.spec_scratch);
-        self.undo_pool.clone_from(&snap.undo_pool);
     }
 
     /// Like [`Machine::restore_from`], but preserves the monotonic clock,
     /// the noise RNG stream, accumulated statistics and the tracer —
     /// rewinding *state* without rewinding *time*. This is the redundancy
     /// voter's per-trial reset: every sample restarts from identical
-    /// machine state while the noise draws keep advancing.
+    /// machine state while the noise draws keep advancing. The caches
+    /// copy only the sets that may differ, as in `restore_from`.
     pub fn restore_from_keeping_clock(&mut self, snap: &Machine) {
+        self.restore_state(snap);
+    }
+
+    /// The state both restores rewind.
+    fn restore_state(&mut self, snap: &Machine) {
+        let (me, it) = (self.lineage, snap.lineage);
+        let scope = if me.anchor != 0 && me.anchor == it.anchor {
+            RestoreScope::Dirty
+        } else if it.id != 0
+            && it.anchor == it.id
+            && it.base_anchor != 0
+            && me.anchor == it.base_anchor
+        {
+            RestoreScope::DirtyAndBase
+        } else {
+            RestoreScope::Full
+        };
+        self.hier.restore_from(&snap.hier, scope);
+        self.lineage.anchor = it.anchor;
         self.regs = snap.regs;
         self.mem.restore_from(&snap.mem);
-        self.hier.clone_from(&snap.hier);
         self.bp.clone_from(&snap.bp);
         self.btb.clone_from(&snap.btb);
         self.contention = snap.contention.clone();
-        self.program.clone_from(&snap.program);
-        self.code.clone_from(&snap.code);
+        share(&mut self.program, &snap.program);
+        share(&mut self.code, &snap.code);
         self.tx.clone_from(&snap.tx);
         self.spec_scratch.clone_from(&snap.spec_scratch);
         self.undo_pool.clone_from(&snap.undo_pool);
@@ -540,7 +606,6 @@ impl Machine {
     /// decoded from simulated memory (dynamically written code).
     fn fetch_inst(&mut self, pc: u64) -> Inst {
         if self.cfg.predecode {
-            self.code.sync_external();
             if let Some(i) = self.code.lookup(pc) {
                 return i;
             }
@@ -553,13 +618,13 @@ impl Machine {
     fn fetch_slow(&mut self, pc: u64) -> Inst {
         if let Some(i) = self.program.get(pc) {
             if self.cfg.predecode {
-                self.code.install_static(pc, i);
+                Arc::make_mut(&mut self.code).install_static(pc, i);
             }
             return i;
         }
         let inst = Inst::decode(&self.mem.read_array(pc));
         if self.cfg.predecode {
-            self.code.install_dynamic(pc, inst);
+            Arc::make_mut(&mut self.code).install_dynamic(pc, inst);
         }
         inst
     }
@@ -801,7 +866,7 @@ impl Machine {
             tx.undo_log.push((addr, self.mem.read_u64(addr)));
         }
         self.mem.write_u64(addr, value);
-        self.code.invalidate_bytes(addr, 8); // self-modifying code
+        self.invalidate_code(addr); // self-modifying code
         self.tracer.record(ArchEvent::MemWrite { addr, value });
     }
 
@@ -1191,7 +1256,7 @@ impl Machine {
         self.regs = tx.saved_regs;
         for &(addr, old) in tx.undo_log.iter().rev() {
             self.mem.write_u64(addr, old);
-            self.code.invalidate_bytes(addr, 8);
+            self.invalidate_code(addr);
         }
         self.recycle_undo_log(tx.undo_log);
         self.cycles += self.cfg.latency.xabort;
@@ -1203,10 +1268,24 @@ impl Machine {
         tx.handler
     }
 
+    /// A 64-bit store landed at `addr`: drop the dynamic slots it overlaps.
+    fn invalidate_code(&mut self, addr: u64) {
+        if self.code.has_dynamic() {
+            Arc::make_mut(&mut self.code).invalidate_bytes(addr, 8);
+        }
+    }
+
     /// Returns a transaction's undo log to the pool for the next `Xbegin`.
     fn recycle_undo_log(&mut self, mut log: Vec<(u64, u64)>) {
         log.clear();
         self.undo_pool = log;
+    }
+}
+
+/// Points `dst` at `src`'s value unless it already does.
+fn share<T>(dst: &mut Arc<T>, src: &Arc<T>) {
+    if !Arc::ptr_eq(dst, src) {
+        *dst = Arc::clone(src);
     }
 }
 
@@ -1764,5 +1843,268 @@ mod tests {
             m.cycles()
         };
         assert_eq!(run(), run());
+    }
+}
+
+/// Restore equivalence: after every restore the machine must equal the
+/// snapshot in every cache set, predictor entry, memory page and
+/// register, whichever restore scope the snapshot ids select.
+#[cfg(test)]
+mod restore_tests {
+    use super::*;
+    use crate::isa::Assembler;
+    use uwm_rng::rngs::StdRng;
+    use uwm_rng::{Rng, SeedableRng};
+
+    const TSX_PC: u64 = 0x1000;
+    const BRANCH_PC: u64 = 0x2000;
+    const STORE_PC: u64 = 0x3000;
+    const COND: u32 = 0x4000;
+    const SPEC_OUT: u32 = 0x5000;
+
+    /// A default-noise machine holding three small programs: a TSX
+    /// transaction whose post-fault window loads `[r4]`, a branch on
+    /// `[COND]` whose wrong path stores to `SPEC_OUT`, and a store of `r6`
+    /// to `[r5]`.
+    fn machine(seed: u64) -> Machine {
+        let mut a = Assembler::new(TSX_PC);
+        a.xbegin("tsx_handler");
+        a.push(Inst::Div {
+            dst: 1,
+            a: 1,
+            b: Operand::Imm(0),
+        });
+        a.push(Inst::LoadInd {
+            dst: 3,
+            base: 4,
+            offset: 0,
+        });
+        a.push(Inst::Xend);
+        a.label("tsx_handler").unwrap();
+        a.push(Inst::Halt);
+        let mut p = a.finish().unwrap();
+
+        let mut a = Assembler::new(BRANCH_PC);
+        a.brz(COND, "skip");
+        a.align_to(64);
+        a.push(Inst::Store {
+            addr: SPEC_OUT,
+            src: 3,
+        });
+        a.label("skip").unwrap();
+        a.push(Inst::Halt);
+        p.merge(a.finish().unwrap());
+
+        let mut a = Assembler::new(STORE_PC);
+        a.push(Inst::StoreInd {
+            base: 5,
+            offset: 0,
+            src: 6,
+        });
+        a.push(Inst::Halt);
+        p.merge(a.finish().unwrap());
+
+        let mut m = Machine::new(MachineConfig::default(), seed);
+        m.load_program(p);
+        m
+    }
+
+    /// Half the time one of 12 lines in each of 16 L1 sets (fills evict),
+    /// else one of 4 lines in each of 16 other sets (once warm, only
+    /// hits reorder their replacement state).
+    fn data_addr(rng: &mut StdRng) -> u64 {
+        let (base, lines) = if rng.gen_bool(0.5) {
+            (0x10_0000u64, 12u64)
+        } else {
+            (0x20_0800, 4)
+        };
+        base + rng.gen_range(0..lines) * 4096 + rng.gen_range(0..16u64) * 64
+    }
+
+    /// One of 12 code lines in each of 8 L1I sets.
+    fn code_addr(rng: &mut StdRng) -> u64 {
+        0x8000 + rng.gen_range(0..12u64) * 4096 + rng.gen_range(0..64u64) * INST_SIZE
+    }
+
+    /// `n` seeded random host-side and program operations.
+    fn random_ops(m: &mut Machine, rng: &mut StdRng, n: usize) {
+        for _ in 0..n {
+            match rng.gen_range(0..7u32) {
+                0 | 1 => {
+                    m.timed_read(data_addr(rng));
+                }
+                2 => m.flush_addr(data_addr(rng)),
+                3 => m.touch_code(code_addr(rng)),
+                4 => {
+                    let base = code_addr(rng);
+                    m.warm_code_range(base, base + 4 * INST_SIZE);
+                }
+                5 => {
+                    m.set_reg(4, data_addr(rng));
+                    m.run_at(TSX_PC);
+                }
+                _ => {
+                    if rng.gen_bool(0.5) {
+                        let taken = rng.gen_bool(0.5);
+                        m.mem_mut().write_u64(COND as u64, u64::from(!taken));
+                        m.flush_addr(COND as u64);
+                        m.set_reg(3, rng.next_u64());
+                        m.run_at(BRANCH_PC);
+                    } else {
+                        m.set_reg(5, data_addr(rng));
+                        m.set_reg(6, rng.next_u64());
+                        m.run_at(STORE_PC);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Whole-state comparison; `clock` adds the fields only a full
+    /// restore rewinds.
+    fn assert_same(m: &Machine, snap: &Machine, clock: bool, what: &str) {
+        assert!(m.hier.same_state(&snap.hier), "{what}: caches differ");
+        assert!(m.bp == snap.bp, "{what}: predictor differs");
+        assert!(m.btb == snap.btb, "{what}: BTB differs");
+        assert!(m.mem == snap.mem, "{what}: memory differs");
+        assert_eq!(m.regs, snap.regs, "{what}: registers differ");
+        assert!(
+            m.program.iter().eq(snap.program.iter()),
+            "{what}: program differs"
+        );
+        assert_eq!(
+            format!("{:?}", (&m.contention, &m.tx)),
+            format!("{:?}", (&snap.contention, &snap.tx)),
+            "{what}: contention or transaction differs"
+        );
+        if clock {
+            assert_eq!(m.cycles, snap.cycles, "{what}: clock differs");
+            assert_eq!(m.stats, snap.stats, "{what}: stats differ");
+            assert_eq!(
+                format!("{:?}", m.noise),
+                format!("{:?}", snap.noise),
+                "{what}: noise stream differs"
+            );
+        }
+    }
+
+    fn warmed(seed: u64, rng: &mut StdRng) -> Machine {
+        let mut m = machine(seed);
+        random_ops(&mut m, rng, 300);
+        m
+    }
+
+    /// `BatchRunner`: one snapshot, restored before every item.
+    #[test]
+    fn repeated_restores_match_the_snapshot() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut m = warmed(1, &mut rng);
+        let snap = m.snapshot();
+        for item in 0..40 {
+            m.restore_from(&snap);
+            assert_same(&m, &snap, true, &format!("item {item}"));
+            random_ops(&mut m, &mut rng, 25);
+        }
+    }
+
+    /// The redundancy voter on a pooled machine: a per-bit snapshot of a
+    /// machine anchored to the batch snapshot, three trials per bit.
+    #[test]
+    fn voter_trials_match_each_prepared_snapshot() {
+        let mut rng = StdRng::seed_from_u64(2);
+        let mut m = warmed(2, &mut rng);
+        let batch = m.snapshot();
+        m.restore_from(&batch);
+        for bit in 0..15 {
+            random_ops(&mut m, &mut rng, 8);
+            let prepared = m.snapshot();
+            for trial in 0..3 {
+                m.restore_from_keeping_clock(&prepared);
+                assert_same(&m, &prepared, false, &format!("bit {bit} trial {trial}"));
+                random_ops(&mut m, &mut rng, 8);
+            }
+        }
+    }
+
+    /// Restores onto a second machine (and a clone of it), alternating
+    /// between two snapshots of the first.
+    #[test]
+    fn restores_onto_other_machines_and_alternating_snapshots() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut a = warmed(3, &mut rng);
+        let base = a.snapshot();
+        let mut b = machine(4);
+        b.restore_from(&base);
+        assert_same(&b, &base, true, "fresh machine");
+        a.restore_from(&base);
+        random_ops(&mut a, &mut rng, 30);
+        let s1 = a.snapshot();
+        random_ops(&mut a, &mut rng, 30);
+        let s2 = a.snapshot();
+        // `b` and `s1` both descend from `base` along different paths.
+        random_ops(&mut b, &mut rng, 30);
+        b.restore_from(&s1);
+        assert_same(&b, &s1, true, "sibling onto another machine");
+        let mut c = b.clone();
+        for round in 0..20 {
+            let snap = if round % 2 == 0 { &s2 } else { &s1 };
+            for (name, m) in [("a", &mut a), ("b", &mut b), ("clone", &mut c)] {
+                random_ops(m, &mut rng, 10);
+                m.restore_from(snap);
+                assert_same(m, snap, true, &format!("{name} round {round}"));
+            }
+        }
+    }
+
+    /// Snapshots are ordinary machines: running one after it was taken
+    /// must not leave stale sets behind on the next restore from it.
+    #[test]
+    fn a_snapshot_run_after_it_was_taken_restores_exactly() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut m = warmed(5, &mut rng);
+        let mut snap = m.snapshot();
+        m.restore_from(&snap);
+        for round in 0..10 {
+            random_ops(&mut m, &mut rng, 15);
+            random_ops(&mut snap, &mut rng, 15);
+            m.restore_from(&snap);
+            assert_same(&m, &snap, true, &format!("anchored, round {round}"));
+        }
+        let mut other = machine(6);
+        other.restore_from(&snap);
+        assert_same(&other, &snap, true, "fresh machine");
+        random_ops(&mut other, &mut rng, 15);
+        other.restore_from(&snap);
+        assert_same(&other, &snap, true, "fresh machine, again");
+        // A per-bit snapshot run before the trial restores from it.
+        random_ops(&mut m, &mut rng, 15);
+        let mut prepared = m.snapshot();
+        random_ops(&mut prepared, &mut rng, 15);
+        random_ops(&mut m, &mut rng, 15);
+        m.restore_from_keeping_clock(&prepared);
+        assert_same(&m, &prepared, false, "sibling of a run snapshot");
+    }
+
+    /// `clflush` writes a set only where it cleared a tag.
+    #[test]
+    fn flushing_an_absent_line_writes_no_set() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut m = warmed(7, &mut rng);
+        let snap = m.snapshot();
+        m.restore_from(&snap);
+        let absent = 0x70_0000;
+        assert_eq!(m.hierarchy().probe_data(absent), HitLevel::Mem);
+        m.flush_addr(absent);
+        assert_eq!(m.hier.dirty_sets(), 0, "absent line dirtied a set");
+        let present = (0..)
+            .map(|_| data_addr(&mut rng))
+            .find(|&a| m.hierarchy().probe_data(a) != HitLevel::Mem);
+        m.flush_addr(present.unwrap());
+        assert!(
+            m.hier.dirty_sets() > 0,
+            "flushing a cached line must list it"
+        );
+        m.restore_from(&snap);
+        assert_same(&m, &snap, true, "after flushes");
     }
 }

@@ -16,7 +16,7 @@ const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 /// m.write_u64(0x1000, 42);
 /// assert_eq!(m.read_u64(0x1000), 42);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Memory {
     pages: IntMap<u64, Box<[u8; PAGE_SIZE]>>,
 }
@@ -102,10 +102,11 @@ impl Memory {
         self.pages.len()
     }
 
-    /// Rewinds this memory to `snap`'s exact contents. Pages resident in
-    /// both copies are overwritten in place (a memcpy, no allocation), so
-    /// the steady-state cost of a batch loop's restore is proportional to
-    /// the pages the workload actually touches.
+    /// Rewinds this memory to `snap`'s exact contents. Every page
+    /// resident in `snap` is copied, overwritten in place where this
+    /// memory has it too (a memcpy, no allocation), so the steady-state
+    /// cost is proportional to the snapshot's resident pages, not to the
+    /// pages an item touched.
     pub fn restore_from(&mut self, snap: &Memory) {
         self.pages.retain(|k, _| snap.pages.contains_key(k));
         for (k, src) in &snap.pages {

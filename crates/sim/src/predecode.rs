@@ -17,8 +17,9 @@
 //!   `wm_apt`'s patched jump, re-decodes from memory on its next fetch.
 //!
 //! Writes that bypass the machine (host-side `mem_mut()` access) cannot be
-//! intercepted per address, so they set a *dirty* flag; the next fetch
-//! drops every dynamic slot before trusting the cache.
+//! intercepted per address, so handing out that access drops every
+//! dynamic slot up front. No fetch can run while the handle is borrowed,
+//! so nothing decoded afterwards can predate the writes.
 //!
 //! Only [`INST_SIZE`]-aligned addresses are cached. Unaligned code (legal,
 //! if odd) always takes the slow path, which keeps one byte from ever
@@ -82,12 +83,10 @@ pub struct CodeCache {
     /// One-entry cache of the last page hit (the common case: gate code
     /// stays within one or two pages).
     last: Option<(u64, u32)>,
-    /// Simulated memory was written behind the machine's back; dynamic
-    /// slots are untrusted until [`CodeCache::sync_external`] runs.
-    external_dirty: bool,
     /// Live dynamic-slot count. While it is zero (all code came from the
-    /// static program — the common case), write invalidation and external
-    /// syncs are free no-ops, so pure data stores never pay a page probe.
+    /// static program — the common case), write invalidation and
+    /// external-write drops are no-ops, so pure data stores never pay a
+    /// page probe.
     dynamic_slots: usize,
 }
 
@@ -103,7 +102,6 @@ impl CodeCache {
         self.pages.clear();
         self.index.clear();
         self.last = None;
-        self.external_dirty = false;
         self.dynamic_slots = 0;
         for (pc, inst) in program.iter() {
             if pc.is_multiple_of(INST_SIZE) {
@@ -114,9 +112,6 @@ impl CodeCache {
 
     /// The cached decoding of the instruction at `pc`, if any. `None`
     /// means the caller must decode (slow path) and install the result.
-    ///
-    /// Callers must run [`CodeCache::sync_external`] first if host-side
-    /// memory writes may have happened.
     #[inline]
     pub fn lookup(&self, pc: u64) -> Option<Inst> {
         if !pc.is_multiple_of(INST_SIZE) {
@@ -175,21 +170,16 @@ impl CodeCache {
         }
     }
 
-    /// Marks simulated memory as externally modified (host-side writes the
-    /// machine could not intercept).
-    pub fn mark_external_dirty(&mut self) {
-        self.external_dirty = true;
+    /// True if any slot was decoded from simulated memory — the only case
+    /// in which a data write can change the cache.
+    #[inline]
+    pub fn has_dynamic(&self) -> bool {
+        self.dynamic_slots > 0
     }
 
-    /// Applies a pending external-dirty mark by dropping every dynamic
-    /// slot. Cheap when the mark is clear; call before trusting
-    /// [`CodeCache::lookup`].
-    #[inline]
-    pub fn sync_external(&mut self) {
-        if !self.external_dirty {
-            return;
-        }
-        self.external_dirty = false;
+    /// Drops every dynamic slot: simulated memory is about to be written
+    /// behind the machine's back (host-side writes it cannot intercept).
+    pub fn drop_dynamic(&mut self) {
         if self.dynamic_slots == 0 {
             return;
         }
@@ -297,17 +287,17 @@ mod tests {
     }
 
     #[test]
-    fn external_dirty_drops_dynamic_slots_lazily() {
+    fn drop_dynamic_keeps_static_slots() {
         let mut cc = CodeCache::new();
         cc.install_static(0, mov(1));
         cc.install_dynamic(8, mov(2));
-        cc.mark_external_dirty();
-        cc.sync_external();
+        assert!(cc.has_dynamic());
+        cc.drop_dynamic();
+        assert!(!cc.has_dynamic());
         assert_eq!(cc.lookup(0), Some(mov(1)));
         assert_eq!(cc.lookup(8), None);
-        // The flag is one-shot.
+        // Slots decoded after the drop stay.
         cc.install_dynamic(8, mov(3));
-        cc.sync_external();
         assert_eq!(cc.lookup(8), Some(mov(3)));
     }
 

@@ -23,7 +23,7 @@ pub enum Policy {
 /// list is nibble-coded (way index at recency position `i` lives in bits
 /// `4i..4i+4`, position 0 = MRU), which caps true LRU at 16 ways; the
 /// largest modelled cache (L3) is exactly 16-way.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SetState {
     /// Nibble `i` of `order` is the way at recency position `i` (0 = MRU).
     Lru { order: u64 },
