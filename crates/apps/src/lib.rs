@@ -5,7 +5,7 @@
 //! * [`sha1`] — SHA-1 computed on weird gates (§5.2): every boolean
 //!   combination of bits runs through the branch-predictor gate family
 //!   with median-and-vote redundancy; verified against
-//!   [`uwm_crypto::sha1`].
+//!   [`uwm_crypto::sha1()`].
 //! * [`wm_apt`] — the weird-obfuscation trigger system (§5.1): a payload
 //!   hidden behind a one-time-pad whose decode runs on TSX XOR circuits;
 //!   wrong triggers fault harmlessly inside a transaction. The payloads

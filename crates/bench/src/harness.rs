@@ -13,7 +13,7 @@ const SAMPLES: usize = 7;
 /// Target wall-clock duration of one sample.
 const SAMPLE_TARGET: Duration = Duration::from_millis(40);
 
-/// Result of one [`bench`] measurement.
+/// Result of one [`bench()`] measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Measurement {
     /// Median nanoseconds per iteration across samples.

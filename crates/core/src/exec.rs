@@ -100,6 +100,9 @@ impl ShardedExecutor {
                         }
                         local.push((idx, work(idx)));
                     }
+                    // Free a kept snapshot while the scope still waits
+                    // for this thread (see `drop_spare`).
+                    crate::substrate::drop_spare();
                     results
                         .lock()
                         .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -163,6 +166,10 @@ impl ShardedExecutor {
                         }
                         local.push((idx, work(idx, &mut scratch)));
                     }
+                    // As in `run`; dropping the shard state first frees
+                    // its snapshot too.
+                    drop(scratch);
+                    crate::substrate::drop_spare();
                     results
                         .lock()
                         .unwrap_or_else(std::sync::PoisonError::into_inner)

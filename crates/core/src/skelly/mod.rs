@@ -12,6 +12,8 @@ mod redundancy;
 
 pub use redundancy::{CounterBank, GateCounters, Redundancy};
 
+use std::sync::OnceLock;
+
 use crate::error::Result;
 use crate::gate::bp::BpGate;
 use crate::gate::tsx::{TsxGate, TsxXor};
@@ -187,18 +189,17 @@ pub struct Skelly {
 
 impl Skelly {
     /// Builds the framework on a machine with the given configuration and
-    /// noise seed: builds a [`SkellySpec`] (layout allocation and gate
-    /// assembly, machine-free) and instantiates it once.
-    ///
-    /// To build many instances — one per executor shard — build the spec
-    /// once with [`SkellySpec::new`] and call
-    /// [`SkellySpec::instantiate`] per shard instead.
+    /// noise seed by instantiating [`SkellySpec::new`]'s spec. The spec
+    /// is machine-free and the same on every call, so it is built once per
+    /// process and shared.
     ///
     /// # Errors
     ///
     /// Fails if gate construction exhausts the layout or assembly fails.
     pub fn new(cfg: MachineConfig, seed: u64) -> Result<Self> {
-        Ok(SkellySpec::new()?.instantiate(cfg, seed))
+        static SPEC: OnceLock<Result<SkellySpec>> = OnceLock::new();
+        let spec = SPEC.get_or_init(SkellySpec::new).as_ref();
+        Ok(spec.map_err(Clone::clone)?.instantiate(cfg, seed))
     }
 
     /// A noise-free instance (deterministic; handy in tests and docs).

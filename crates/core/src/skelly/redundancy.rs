@@ -68,8 +68,11 @@ impl Redundancy {
     /// snapshotted and every trial restores it
     /// ([`Substrate::restore_keeping_clock`], so the clock stays monotonic
     /// and each trial draws fresh noise) before
-    /// [`WeirdGate::activate_read`]. The no-redundancy default runs the
-    /// full protocol once.
+    /// [`WeirdGate::activate_read`]. In a run of votes on one machine,
+    /// each snapshot is taken into the previous vote's, so it copies only
+    /// the cache sets the machine wrote in between (see
+    /// [`crate::substrate::SubstrateSnapshot`]). The no-redundancy default
+    /// runs the full protocol once.
     ///
     /// # Errors
     ///
@@ -380,6 +383,72 @@ mod tests {
             uwm_sim::machine::Machine::cycles(&m) > before,
             "restore_keeping_clock must not rewind time"
         );
+    }
+
+    /// A noisy machine with a TSX-XOR, its counter bank, and the
+    /// `(vote, cycles)` of every bit voted so far.
+    struct XorRun {
+        m: Machine,
+        g: TsxXor,
+        bank: CounterBank,
+        votes: Vec<(bool, u64)>,
+    }
+
+    impl XorRun {
+        fn new() -> Self {
+            let mut m = Machine::new(MachineConfig::default(), 23);
+            let mut lay = Layout::new(m.predictor().alias_stride());
+            let g = TsxXor::spec(&mut lay).unwrap().instantiate(&mut m);
+            Self {
+                m,
+                g,
+                bank: CounterBank::new(),
+                votes: Vec::new(),
+            }
+        }
+
+        fn vote(&mut self, bit: usize) {
+            let red = Redundancy {
+                samples: 3,
+                votes: 1,
+                k: 1,
+            };
+            let inputs = [bit & 1 == 1, bit & 2 == 2];
+            let out = red.vote(&self.g, &mut self.m, &inputs, &mut self.bank);
+            self.votes.push((out.unwrap(), self.m.cycles()));
+        }
+    }
+
+    /// Each per-bit snapshot is taken into the last one dropped on this
+    /// thread. Voting on two machines in turn recycles the other
+    /// machine's, which is copied whole; voting on one machine after the
+    /// other recycles its own, which copies only the sets written since.
+    /// Both must decode the same.
+    #[test]
+    fn recycled_snapshots_vote_alike_from_either_machine() {
+        const BITS: usize = 40;
+        let mut interleaved = [XorRun::new(), XorRun::new()];
+        for bit in 0..BITS {
+            for run in &mut interleaved {
+                run.vote(bit);
+            }
+        }
+        let mut in_turn = [XorRun::new(), XorRun::new()];
+        for run in &mut in_turn {
+            for bit in 0..BITS {
+                run.vote(bit);
+            }
+        }
+        for (i, (a, b)) in interleaved.iter().zip(&in_turn).enumerate() {
+            assert_eq!(a.votes, b.votes, "machine {i}: votes and cycles");
+            assert_eq!(a.m.stats(), b.m.stats(), "machine {i}: stats");
+            assert!(
+                a.bank.iter().eq(b.bank.iter()),
+                "machine {i}: counter banks"
+            );
+        }
+        let c = in_turn[0].bank.get("TSX_XOR").unwrap();
+        assert_eq!(c.raw_total, 3 * BITS as u64);
     }
 
     /// A wrong input count is an error, checked before the reference

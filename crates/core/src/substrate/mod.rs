@@ -23,6 +23,8 @@
 //! pass-through wrapper (for example an instrumenting meter that times
 //! every call) can stand in for the machine.
 
+use std::cell::Cell;
+
 use uwm_sim::isa::{Program, Reg};
 use uwm_sim::machine::{Machine, RunOutcome};
 use uwm_sim::timing::LatencyConfig;
@@ -35,12 +37,47 @@ pub const DEFAULT_ALIAS_STRIDE: u64 = 8192;
 /// An opaque capture of a backend's complete state, produced by
 /// [`Substrate::snapshot`] and consumed by [`Substrate::restore`].
 ///
-/// The capture is a boxed deep copy of the [`Machine`], which keeps the
-/// trait object-safe: batch runners and the redundancy voter hold
+/// The capture is a boxed [`Machine`] snapshot, which keeps the trait
+/// object-safe: batch runners and the redundancy voter hold
 /// `&mut dyn Substrate` and still snapshot/restore. Snapshots are not a
 /// serialization format.
+///
+/// Dropping one keeps its allocation as this thread's spare, and the
+/// thread's next snapshot is taken into it
+/// ([`Machine::snapshot_into`]). Nothing can run an opaque snapshot, so
+/// when the voter's next bit recycles the previous bit's snapshot, only
+/// the cache sets the machine wrote in between are copied. A spare from
+/// another machine is copied whole, at the cost of a clone.
 #[derive(Debug)]
-pub struct SubstrateSnapshot(Box<Machine>);
+pub struct SubstrateSnapshot(Option<Box<Machine>>);
+
+impl SubstrateSnapshot {
+    fn machine(&self) -> &Machine {
+        self.0.as_deref().expect("only drop takes the machine")
+    }
+}
+
+impl Drop for SubstrateSnapshot {
+    fn drop(&mut self) {
+        let snap = self.0.take();
+        // During thread teardown the slot may be gone; the box is then
+        // simply freed.
+        let _ = SPARE.try_with(|spare| spare.set(snap));
+    }
+}
+
+thread_local! {
+    /// The last [`SubstrateSnapshot`] dropped on this thread.
+    static SPARE: Cell<Option<Box<Machine>>> = const { Cell::new(None) };
+}
+
+/// Frees this thread's spare snapshot. A worker thread calls it before it
+/// reports its work done: otherwise the spare is freed by a thread-local
+/// destructor, after `std::thread::scope` has returned, while the next
+/// batch's workers already allocate.
+pub(crate) fn drop_spare() {
+    SPARE.with(|spare| spare.set(None));
+}
 
 /// Execution backend contract for weird gates, registers, and circuits.
 ///
@@ -118,10 +155,6 @@ pub trait Substrate {
     /// indistinguishable from the one that took the snapshot, so
     /// `restore + reseed(s) + work` produces the same observables as a
     /// fresh backend built the same way and reseeded with `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snap` came from a different backend type.
     fn restore(&mut self, snap: &SubstrateSnapshot);
 
     /// Restores machine state (registers, memory, caches, predictors,
@@ -202,15 +235,22 @@ impl Substrate for Machine {
     }
 
     fn snapshot(&self) -> SubstrateSnapshot {
-        SubstrateSnapshot(Machine::snapshot(self))
+        let snap = match SPARE.with(Cell::take) {
+            Some(mut spare) => {
+                self.snapshot_into(&mut spare);
+                spare
+            }
+            None => Machine::snapshot(self),
+        };
+        SubstrateSnapshot(Some(snap))
     }
 
     fn restore(&mut self, snap: &SubstrateSnapshot) {
-        self.restore_from(&snap.0);
+        self.restore_from(snap.machine());
     }
 
     fn restore_keeping_clock(&mut self, snap: &SubstrateSnapshot) {
-        self.restore_from_keeping_clock(&snap.0);
+        self.restore_from_keeping_clock(snap.machine());
     }
 
     fn reseed(&mut self, seed: u64) {

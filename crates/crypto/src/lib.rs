@@ -3,7 +3,7 @@
 //! Self-contained implementations of the two algorithms the μWM paper's
 //! applications depend on:
 //!
-//! * [`sha1`] — the verification oracle for the μWM SHA-1 of §5.2 (the
+//! * [`sha1`](mod@sha1) — the verification oracle for the μWM SHA-1 of §5.2 (the
 //!   paper compares its weird-machine hashes against a reference
 //!   implementation), and the building block for Sharif-style conditional
 //!   code obfuscation;

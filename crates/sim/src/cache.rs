@@ -120,6 +120,18 @@ pub struct Cache {
     base: Vec<u32>,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Sets copied by [`Cache::restore_from`] on this thread, a full copy
+    /// counting every set: what the restore-cost tests measure.
+    pub(crate) static SETS_COPIED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
+fn count_copied(sets: usize) {
+    SETS_COPIED.with(|c| c.set(c.get() + sets));
+}
+
 /// Sentinel for an empty way. Unreachable as a real line index: line
 /// indices are byte addresses shifted right by [`LINE_SHIFT`].
 const INVALID_TAG: u64 = u64::MAX;
@@ -266,6 +278,8 @@ impl Cache {
             self.tags.clone_from(&snap.tags);
             self.repl.clone_from(&snap.repl);
             self.dirty_bits.clone_from(&snap.dirty_bits);
+            #[cfg(test)]
+            count_copied(self.cfg.sets);
         } else {
             let base: &[u32] = match scope {
                 RestoreScope::DirtyAndBase => &snap.base,
@@ -277,6 +291,8 @@ impl Cache {
                 let range = set * ways..(set + 1) * ways;
                 self.tags[range.clone()].copy_from_slice(&snap.tags[range]);
                 self.repl[set] = snap.repl[set];
+                #[cfg(test)]
+                count_copied(1);
             }
             // Every set bit belongs to a listed set, so zeroing the words
             // of the listed sets clears exactly the list.
@@ -292,22 +308,30 @@ impl Cache {
         self.misses = snap.misses;
     }
 
-    /// Turns a fresh copy into a snapshot's view: the sets written since
-    /// the anchor become the snapshot's base list, and its live dirty
-    /// list starts empty.
+    /// Turns a copy into a snapshot's view: the sets written since the
+    /// anchor become the snapshot's base list, and its live dirty list
+    /// starts empty. Both lists keep their allocations, so a snapshot
+    /// retaken in place allocates nothing.
     pub(crate) fn rebase(&mut self) {
         // As in `restore_from`: zeroing the listed sets' words clears
         // exactly the list.
         for &set in &self.dirty {
             self.dirty_bits[set as usize / 64] = 0;
         }
-        self.base = std::mem::take(&mut self.dirty);
+        std::mem::swap(&mut self.base, &mut self.dirty);
+        self.dirty.clear();
     }
 
     /// Number of sets in the live dirty list.
     #[cfg(test)]
     pub(crate) fn dirty_sets(&self) -> usize {
         self.dirty.len()
+    }
+
+    /// The live dirty list and the base list, in order.
+    #[cfg(test)]
+    pub(crate) fn lists(&self) -> (&[u32], &[u32]) {
+        (&self.dirty, &self.base)
     }
 
     /// Whole-state equality: geometry, tags, replacement state and

@@ -194,6 +194,12 @@ impl Hierarchy {
             .sum()
     }
 
+    /// Every level's dirty and base lists (see [`Cache::lists`]).
+    #[cfg(test)]
+    pub(crate) fn lists(&self) -> [(&[u32], &[u32]); 4] {
+        [&self.l1i, &self.l1d, &self.l2, &self.l3].map(Cache::lists)
+    }
+
     /// Whole-state equality of every level (see [`Cache::same_state`]).
     #[cfg(test)]
     pub(crate) fn same_state(&self, other: &Hierarchy) -> bool {

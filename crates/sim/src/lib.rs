@@ -9,10 +9,10 @@
 //!   `clflush`,
 //! * a [direction predictor and BTB](branch) that can be mistrained through
 //!   aliased branches,
-//! * a [machine](machine) whose mispredicted branches and faulting
+//! * a [machine] whose mispredicted branches and faulting
 //!   transactions open *speculative windows* in which wrong-path code races
 //!   cache latencies,
-//! * [contention](contention) state (ROB, multiplier, VMX) for the volatile
+//! * [contention] state (ROB, multiplier, VMX) for the volatile
 //!   weird registers of the paper's Table 1, and
 //! * a seeded [noise model](timing) reproducing the error rates and latency
 //!   tails of the paper's evaluation.

@@ -470,14 +470,38 @@ impl Machine {
     /// statistics and tracer. A machine restored from the snapshot
     /// reproduces every subsequent observable bit for bit.
     ///
-    /// The copy is full, except that the program and the predecode cache
-    /// are shared rather than copied. It gets a fresh snapshot id and
-    /// records which cache sets it differs in from this machine's anchor
-    /// (the snapshot this machine was last restored from), so a machine
-    /// on that anchor can later restore from it by copying only those
-    /// sets. A snapshot stays exact if it is run afterwards.
+    /// The copy is a fresh allocation and full, except that the program
+    /// and the predecode cache are shared rather than copied. It gets a
+    /// fresh snapshot id and records which cache sets it differs in from
+    /// this machine's anchor (the snapshot this machine was last restored
+    /// from), so a machine on that anchor can later restore from it by
+    /// copying only those sets. A snapshot stays exact if it is run
+    /// afterwards. [`Machine::snapshot_into`] takes the same snapshot into
+    /// an existing machine.
     pub fn snapshot(&self) -> Box<Machine> {
         let mut snap = Box::new(self.clone());
+        self.label_snapshot(&mut snap);
+        snap
+    }
+
+    /// Takes [`Machine::snapshot`] into `snap`, overwriting it in place
+    /// through [`Machine::restore_from`]: the result equals a fresh
+    /// snapshot in every observable and in its snapshot bookkeeping,
+    /// apart from the id.
+    ///
+    /// The cost follows `restore_from`'s scope. When `snap` is a retired
+    /// snapshot this machine was last restored from (the redundancy
+    /// voter's previous bit), only the cache sets this machine wrote since
+    /// are copied; any other `snap` is copied whole, which costs no more
+    /// than `snapshot` does.
+    pub fn snapshot_into(&self, snap: &mut Machine) {
+        snap.restore_from(self);
+        self.label_snapshot(snap);
+    }
+
+    /// Makes a copy of this machine a snapshot: a fresh id, and the
+    /// sets written since this machine's anchor become its base list.
+    fn label_snapshot(&self, snap: &mut Machine) {
         let id = NEXT_SNAPSHOT_ID.fetch_add(1, Ordering::Relaxed);
         snap.lineage = Lineage {
             anchor: id,
@@ -485,7 +509,6 @@ impl Machine {
             base_anchor: self.lineage.anchor,
         };
         snap.hier.rebase();
-        snap
     }
 
     /// Restores every field from `snap`, reusing existing allocations, so
@@ -505,7 +528,8 @@ impl Machine {
     ///
     /// Afterwards this machine is anchored where `snap` is. Memory copies
     /// every page resident in `snap`; the predictor, the BTB and the rest
-    /// are copied whole.
+    /// are copied whole. The snapshot id is not copied; a snapshot
+    /// restored over gets a new one from [`Machine::snapshot_into`].
     pub fn restore_from(&mut self, snap: &Machine) {
         self.restore_state(snap);
         self.cfg = snap.cfg.clone();
@@ -2083,6 +2107,157 @@ mod restore_tests {
         random_ops(&mut m, &mut rng, 15);
         m.restore_from_keeping_clock(&prepared);
         assert_same(&m, &prepared, false, "sibling of a run snapshot");
+    }
+
+    /// `snap`, taken in place from `src` by `snapshot_into`, must equal
+    /// `fresh`, taken from `src` by `snapshot`: every observable, both
+    /// dirty-set lists and the lineage apart from the new id.
+    fn assert_recycled(snap: &Machine, fresh: &Machine, src: &Machine, what: &str) {
+        assert_same(snap, fresh, true, what);
+        assert_eq!(snap.hier.lists(), fresh.hier.lists(), "{what}: set lists");
+        let (l, f) = (snap.lineage, fresh.lineage);
+        assert!(l.id != 0 && l.id != f.id, "{what}: not relabelled");
+        assert_eq!(l.anchor, l.id, "{what}: not anchored to itself");
+        assert_eq!(l.base_anchor, f.base_anchor, "{what}: base anchor");
+        assert_eq!(l.base_anchor, src.lineage.anchor, "{what}: base anchor");
+    }
+
+    /// Three voter trials from `prepared`, each checked, leaving `m` run.
+    fn trials(m: &mut Machine, prepared: &Machine, rng: &mut StdRng, what: &str) {
+        for trial in 0..3 {
+            m.restore_from_keeping_clock(prepared);
+            assert_same(m, prepared, false, &format!("{what}, trial {trial}"));
+            random_ops(m, rng, 8);
+        }
+    }
+
+    /// Every cache set of the default hierarchy: what a full copy copies.
+    fn all_sets() -> usize {
+        let h = MachineConfig::default().hierarchy;
+        h.l1i.sets + h.l1d.sets + h.l2.sets + h.l3.sets
+    }
+
+    /// Cache sets that restores on this thread copy while `f` runs.
+    fn sets_copied(f: impl FnOnce()) -> usize {
+        let before = crate::cache::SETS_COPIED.with(|c| c.get());
+        f();
+        crate::cache::SETS_COPIED.with(|c| c.get()) - before
+    }
+
+    /// Per level, the number of distinct sets in the two dirty lists.
+    fn dirty_union(a: &Machine, b: &Machine) -> usize {
+        a.hier
+            .lists()
+            .iter()
+            .zip(b.hier.lists())
+            .map(|((da, _), (db, _))| {
+                let union: std::collections::BTreeSet<_> = da.iter().chain(db).collect();
+                union.len()
+            })
+            .sum()
+    }
+
+    /// The redundancy voter's chain: each bit's snapshot is taken into
+    /// the previous bit's retired one, copying only the sets the machine
+    /// wrote since it was last restored from it. A second machine that
+    /// follows the chain restores from each recycled snapshot as from a
+    /// fresh one.
+    #[test]
+    fn recycled_voter_snapshots_match_fresh_ones() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut m = warmed(8, &mut rng);
+        let batch = m.snapshot();
+        m.restore_from(&batch);
+        random_ops(&mut m, &mut rng, 8);
+        let mut prepared = m.snapshot();
+        let mut twin = machine(9);
+        twin.restore_from(&prepared);
+        let full = all_sets();
+        for bit in 0..50 {
+            trials(&mut m, &prepared, &mut rng, &format!("bit {bit}"));
+            random_ops(&mut m, &mut rng, 8);
+            let fresh = m.snapshot();
+            assert_eq!(prepared.hier.dirty_sets(), 0, "a retired snapshot was run");
+            let expected = dirty_union(&prepared, &m);
+            let copied = sets_copied(|| m.snapshot_into(&mut prepared));
+            assert_eq!(copied, expected, "bit {bit}: sets copied");
+            assert!(
+                copied * 10 < full,
+                "bit {bit}: {copied} of {full} sets copied"
+            );
+            assert_recycled(&prepared, &fresh, &m, &format!("bit {bit}"));
+            twin.restore_from(&prepared);
+            assert_same(&twin, &prepared, true, &format!("bit {bit}: twin"));
+        }
+        // The next batch item starts from the batch snapshot again.
+        trials(&mut m, &prepared, &mut rng, "last bit");
+        m.restore_from(&batch);
+        assert_same(&m, &batch, true, "the next item");
+    }
+
+    /// A spare retired by another machine shares no anchor with the one
+    /// snapshotting into it, so everything is copied.
+    #[test]
+    fn a_spare_from_another_machine_is_copied_whole() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut a = warmed(9, &mut rng);
+        let mut b = warmed(10, &mut rng);
+        let batch = b.snapshot();
+        b.restore_from(&batch);
+        let mut spare = a.snapshot();
+        let full = all_sets();
+        for round in 0..6 {
+            let (m, other) = if round % 2 == 0 {
+                (&mut b, &mut a)
+            } else {
+                (&mut a, &mut b)
+            };
+            random_ops(m, &mut rng, 8);
+            let fresh = m.snapshot();
+            let copied = sets_copied(|| m.snapshot_into(&mut spare));
+            assert_eq!(copied, full, "round {round}: sets copied");
+            assert_recycled(&spare, &fresh, m, &format!("round {round}"));
+            trials(m, &spare, &mut rng, &format!("round {round}"));
+            // The other machine's next snapshot recycles this one.
+            random_ops(other, &mut rng, 8);
+        }
+    }
+
+    /// A snapshot that was run after it was taken, and is then the
+    /// target: its own dirty sets are copied back as well.
+    #[test]
+    fn a_run_snapshot_is_a_valid_target() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut m = warmed(11, &mut rng);
+        let mut snap = m.snapshot();
+        m.restore_from(&snap);
+        for round in 0..10 {
+            random_ops(&mut snap, &mut rng, 15);
+            random_ops(&mut m, &mut rng, 15);
+            let fresh = m.snapshot();
+            let expected = dirty_union(&snap, &m);
+            let copied = sets_copied(|| m.snapshot_into(&mut snap));
+            assert!(copied >= expected, "round {round}: too few sets copied");
+            assert_recycled(&snap, &fresh, &m, &format!("round {round}"));
+            trials(&mut m, &snap, &mut rng, &format!("round {round}"));
+        }
+    }
+
+    /// A machine never restored (anchor 0) snapshots into a spare.
+    #[test]
+    fn a_never_restored_machine_snapshots_into_a_spare() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut m = warmed(12, &mut rng);
+        let mut spare = m.snapshot();
+        for round in 0..5 {
+            random_ops(&mut m, &mut rng, 15);
+            let fresh = m.snapshot();
+            m.snapshot_into(&mut spare);
+            assert_recycled(&spare, &fresh, &m, &format!("round {round}"));
+            assert_eq!(spare.lineage.base_anchor, 0, "round {round}");
+            let mut other = m.clone();
+            trials(&mut other, &spare, &mut rng, &format!("round {round}"));
+        }
     }
 
     /// `clflush` writes a set only where it cleared a tag.

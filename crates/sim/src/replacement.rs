@@ -1,7 +1,7 @@
 //! Replacement policies for set-associative caches.
 //!
 //! The paper notes (§3.1, "Variability") that weird registers can be built
-//! from replacement metadata itself (LRU-state channels, [65] in the paper),
+//! from replacement metadata itself (LRU-state channels, reference 65 in the paper),
 //! so the policy is a first-class, swappable component here.
 
 /// Which replacement policy a cache uses.

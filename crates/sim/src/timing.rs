@@ -199,10 +199,10 @@ impl NoiseConfig {
     }
 }
 
-/// Seeded noise generator owned by a [`crate::Machine`].
+/// Seeded noise generator owned by a [`crate::machine::Machine`].
 ///
 /// All randomness in the simulator flows through this type so that a machine
-/// constructed with [`crate::Machine::with_seed`] replays identically.
+/// constructed with [`crate::machine::Machine::with_seed`] replays identically.
 #[derive(Debug, Clone)]
 pub struct NoiseGen {
     cfg: NoiseConfig,
