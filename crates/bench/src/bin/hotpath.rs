@@ -24,15 +24,16 @@
 //! the same binary documents an optimization (`BENCH_hotpath.json` at the
 //! repo root is maintained this way). With `--check-regression FRAC` the
 //! run exits non-zero when throughput regresses more than `FRAC` against
-//! the baseline: each workload is measured between two `bp_and` anchor
-//! passes and its rate normalized by their mean, so the comparison
-//! cancels host speed (CI runners and dev machines differ) and drift
-//! during the run; the in-run `adder32_batch` / `adder32_serial`
-//! speedup — a pure ratio, host-independent at a fixed shard count — is
-//! compared directly.
+//! the baseline: every workload's timed samples alternate one by one
+//! with equally long samples of a `bp_and` anchor, and its rate is
+//! normalized by the anchor's pair by pair (the median over pairs), so
+//! the comparison cancels host speed (CI runners and dev machines differ)
+//! and drift during the run; the in-run `adder32_batch` / `adder32_serial`
+//! speedup — a pure ratio of the two anchored rates, host-independent at
+//! a fixed shard count — is compared directly.
 
 use uwm_apps::{Sha1Batch, UwmSha1};
-use uwm_bench::harness;
+use uwm_bench::harness::{bench_against, Paired};
 use uwm_bench::json::Json;
 use uwm_bench::{gate_performance_sharded, maybe_write_json, parse_args, scaled};
 use uwm_core::batch::BatchRunner;
@@ -66,12 +67,37 @@ struct Workload {
     /// workloads, ~hundreds for the adder).
     gate_evals_per_op: f64,
     committed_insts_per_op: f64,
-    /// Mean `bp_and` rate of the anchor passes run just before and just
-    /// after this workload (`bp_and`'s own rate for `bp_and`).
+    /// `bp_and` rate of the anchor samples interleaved with this
+    /// workload's.
     anchor_evals_per_sec: f64,
+    /// Gate evals per `bp_and` eval: the median over interleaved sample
+    /// pairs, the host-independent rate the regression check compares.
+    evals_per_anchor_eval: f64,
 }
 
 impl Workload {
+    /// A row from a [`bench_against`] measurement, against an anchor of
+    /// `anchor_evals` evals per call, whose iterations are `ops_per_iter`
+    /// ops each, and its per-op counts.
+    fn new(
+        name: &'static str,
+        (p, anchor_evals): (Paired, f64),
+        ops_per_iter: f64,
+        gate_evals_per_op: f64,
+        committed_insts_per_op: f64,
+    ) -> Self {
+        Self {
+            name,
+            median_ns_per_op: p.work.median_ns / ops_per_iter,
+            min_ns_per_op: p.work.min_ns / ops_per_iter,
+            max_ns_per_op: p.work.max_ns / ops_per_iter,
+            gate_evals_per_op,
+            committed_insts_per_op,
+            anchor_evals_per_sec: anchor_evals * 1e9 / p.anchor.median_ns,
+            evals_per_anchor_eval: gate_evals_per_op * ops_per_iter / (p.relative * anchor_evals),
+        }
+    }
+
     fn gate_evals_per_sec(&self) -> f64 {
         self.gate_evals_per_op * 1e9 / self.median_ns_per_op
     }
@@ -94,13 +120,23 @@ impl Workload {
             ),
             ("committed_insts_per_sec", Json::Num(self.insts_per_sec())),
             ("anchor_evals_per_sec", Json::Num(self.anchor_evals_per_sec)),
+            (
+                "evals_per_anchor_eval",
+                Json::Num(self.evals_per_anchor_eval),
+            ),
         ])
     }
 }
 
 /// Measures one of the single-gate workloads on a fresh default-noise
 /// skelly.
-fn gate_workload(name: &'static str, kind: GateKind, seed: u64, count_ops: u64) -> Workload {
+fn gate_workload(
+    name: &'static str,
+    kind: GateKind,
+    seed: u64,
+    count_ops: u64,
+    anchor: &mut Anchor,
+) -> Workload {
     let mut sk = Skelly::noisy(seed).expect("skelly builds");
 
     // Counted pass: committed instructions per gate evaluation.
@@ -113,26 +149,18 @@ fn gate_workload(name: &'static str, kind: GateKind, seed: u64, count_ops: u64) 
 
     // Timed pass.
     let mut i = 0usize;
-    let m = harness::bench(&format!("hotpath/{name}"), || {
+    let op = || {
         let inputs = &INPUTS2[i % INPUTS2.len()];
         i += 1;
         sk.execute_timed(kind, inputs).expect("arity matches");
-    });
-
-    Workload {
-        name,
-        median_ns_per_op: m.median_ns,
-        min_ns_per_op: m.min_ns,
-        max_ns_per_op: m.max_ns,
-        gate_evals_per_op: 1.0,
-        committed_insts_per_op: insts_per_op,
-        anchor_evals_per_sec: 0.0,
-    }
+    };
+    let p = anchor.time(&format!("hotpath/{name}"), op);
+    Workload::new(name, p, 1.0, 1.0, insts_per_op)
 }
 
 /// Measures the 32-bit skelly adder (one op = one `add32`, which executes
 /// a chain of weird gates per bit).
-fn adder_workload(seed: u64, count_ops: u64) -> Workload {
+fn adder_workload(seed: u64, count_ops: u64, anchor: &mut Anchor) -> Workload {
     let mut sk = Skelly::noisy(seed).expect("skelly builds");
     let raw_total = |sk: &Skelly| -> u64 { sk.counters().iter().map(|(_, c)| c.raw_total).sum() };
 
@@ -149,21 +177,13 @@ fn adder_workload(seed: u64, count_ops: u64) -> Workload {
 
     // Timed pass.
     let mut i = 0usize;
-    let m = harness::bench("hotpath/adder32", || {
+    let op = || {
         let (a, b) = PAIRS[i % PAIRS.len()];
         i += 1;
         sk.add32(a, b);
-    });
-
-    Workload {
-        name: "adder32",
-        median_ns_per_op: m.median_ns,
-        min_ns_per_op: m.min_ns,
-        max_ns_per_op: m.max_ns,
-        gate_evals_per_op: gates_per_op,
-        committed_insts_per_op: insts_per_op,
-        anchor_evals_per_sec: 0.0,
-    }
+    };
+    let p = anchor.time("hotpath/adder32", op);
+    Workload::new("adder32", p, 1.0, gates_per_op, insts_per_op)
 }
 
 /// The 32-bit ripple-carry adder as a compiled circuit spec.
@@ -178,7 +198,12 @@ fn adder_circuit() -> CircuitSpec {
 /// install, code warming, threshold calibration) and one run.
 ///
 /// [`CircuitPlan::instantiate`]: uwm_core::circuit::CircuitPlan::instantiate
-fn adder32_serial_workload(spec: &CircuitSpec, seed: u64, count_ops: u64) -> Workload {
+fn adder32_serial_workload(
+    spec: &CircuitSpec,
+    seed: u64,
+    count_ops: u64,
+    anchor: &mut Anchor,
+) -> Workload {
     let plan = spec.compile();
     let gate_evals_per_op = plan.gate_count() as f64;
     let serial_op = |i: usize| -> u64 {
@@ -196,27 +221,25 @@ fn adder32_serial_workload(spec: &CircuitSpec, seed: u64, count_ops: u64) -> Wor
 
     // Timed pass.
     let mut i = 0usize;
-    let m = harness::bench("hotpath/adder32_serial", || {
+    let op = || {
         serial_op(i);
         i += 1;
-    });
-
-    Workload {
-        name: "adder32_serial",
-        median_ns_per_op: m.median_ns,
-        min_ns_per_op: m.min_ns,
-        max_ns_per_op: m.max_ns,
-        gate_evals_per_op,
-        committed_insts_per_op: insts_per_op,
-        anchor_evals_per_sec: 0.0,
-    }
+    };
+    let p = anchor.time("hotpath/adder32_serial", op);
+    Workload::new("adder32_serial", p, 1.0, gate_evals_per_op, insts_per_op)
 }
 
 /// Measures the batch engine on the same circuit: one warmed machine per
 /// shard, snapshot/restore between items, `items` operand pairs streamed
 /// per timed run (pool setup is inside the measurement, amortized over
 /// the stream like production use).
-fn adder32_batch_workload(spec: &CircuitSpec, seed: u64, shards: usize, items: u64) -> Workload {
+fn adder32_batch_workload(
+    spec: &CircuitSpec,
+    seed: u64,
+    shards: usize,
+    items: u64,
+    anchor: &mut Anchor,
+) -> Workload {
     let plan = spec.compile();
     let gate_evals_per_op = plan.gate_count() as f64;
     let inputs: Vec<Vec<bool>> = (0..items as usize)
@@ -245,25 +268,17 @@ fn adder32_batch_workload(spec: &CircuitSpec, seed: u64, shards: usize, items: u
 
     // Timed pass: the whole stream is one measured unit.
     let runner = BatchRunner::new(plan, ShardedExecutor::new(shards), seed);
-    let n = inputs.len() as f64;
-    let m = harness::bench("hotpath/adder32_batch", || {
+    let op = || {
         runner.run(factory, &inputs).expect("arity matches");
-    });
-
-    Workload {
-        name: "adder32_batch",
-        median_ns_per_op: m.median_ns / n,
-        min_ns_per_op: m.min_ns / n,
-        max_ns_per_op: m.max_ns / n,
-        gate_evals_per_op,
-        committed_insts_per_op: insts_per_op,
-        anchor_evals_per_sec: 0.0,
-    }
+    };
+    let p = anchor.time("hotpath/adder32_batch", op);
+    let n = inputs.len() as f64;
+    Workload::new("adder32_batch", p, n, gate_evals_per_op, insts_per_op)
 }
 
 /// Measures pooled SHA-1 compression: `blocks` single-block items
 /// streamed through [`Sha1Batch`] across `shards` pooled machines.
-fn sha1_block_workload(seed: u64, shards: usize, blocks: u64) -> Workload {
+fn sha1_block_workload(seed: u64, shards: usize, blocks: u64, anchor: &mut Anchor) -> Workload {
     // Counted pass: one compression on a dedicated skelly gives gate
     // evaluations and committed instructions per block.
     let mut sk = Skelly::noisy(seed).expect("skelly builds");
@@ -281,19 +296,67 @@ fn sha1_block_workload(seed: u64, shards: usize, blocks: u64) -> Workload {
     let items: Vec<[u8; 64]> = (0..blocks)
         .map(|i| core::array::from_fn(|j| (i as u8).wrapping_mul(31) ^ j as u8))
         .collect();
-    let n = items.len() as f64;
-    let m = harness::bench("hotpath/sha1_block", || {
+    let op = || {
         batch.compress_many(&items);
-    });
+    };
+    let p = anchor.time("hotpath/sha1_block", op);
+    let n = items.len() as f64;
+    Workload::new("sha1_block", p, n, gate_evals_per_op, insts_per_op)
+}
 
-    Workload {
-        name: "sha1_block",
-        median_ns_per_op: m.median_ns / n,
-        min_ns_per_op: m.min_ns / n,
-        max_ns_per_op: m.max_ns / n,
-        gate_evals_per_op,
-        committed_insts_per_op: insts_per_op,
-        anchor_evals_per_sec: 0.0,
+/// `bp_and` evals per shard per call of a sharded [`Anchor`].
+const SHARD_ANCHOR_EVALS: usize = 1024;
+
+/// The `bp_and` anchor a workload is timed against: `call` performs
+/// `evals` AND gate evaluations.
+struct Anchor {
+    call: Box<dyn FnMut()>,
+    evals: f64,
+}
+
+impl Anchor {
+    /// One eval per call: the anchor for single-threaded workloads.
+    fn single(seed: u64) -> Self {
+        Self {
+            call: Box::new(bp_and(seed)),
+            evals: 1.0,
+        }
+    }
+
+    /// [`SHARD_ANCHOR_EVALS`] evals on each of `shards` threads at once:
+    /// the anchor for workloads spread over that many shards, so a host
+    /// core that is busy elsewhere slows the anchor as it slows them.
+    fn sharded(seed: u64, shards: usize) -> Self {
+        let mut each: Vec<_> = (0..shards).map(|i| bp_and(seed + i as u64)).collect();
+        let call = move || {
+            std::thread::scope(|s| {
+                for f in &mut each {
+                    s.spawn(move || (0..SHARD_ANCHOR_EVALS).for_each(|_| f()));
+                }
+            })
+        };
+        Self {
+            call: Box::new(call),
+            evals: (shards * SHARD_ANCHOR_EVALS) as f64,
+        }
+    }
+
+    /// [`bench_against`] with this anchor, and its evals per call.
+    fn time(&mut self, label: &str, op: impl FnMut()) -> (Paired, f64) {
+        (bench_against(label, op, &mut self.call), self.evals)
+    }
+}
+
+/// One AND gate evaluation per call, on a default-noise skelly of its
+/// own.
+fn bp_and(seed: u64) -> impl FnMut() + Send {
+    let mut sk = Skelly::noisy(seed).expect("skelly builds");
+    let mut i = 0usize;
+    move || {
+        let inputs = &INPUTS2[i % INPUTS2.len()];
+        i += 1;
+        sk.execute_timed(GateKind::And, inputs)
+            .expect("arity matches");
     }
 }
 
@@ -328,44 +391,42 @@ fn main() {
     println!();
 
     let circuit = adder_circuit();
-    let bp_and = || gate_workload("bp_and", GateKind::And, seed, scaled(256, args.scale));
-    let measures: [Box<dyn Fn() -> Workload + '_>; 5] = [
-        Box::new(|| {
-            gate_workload(
-                "tsx_xor",
-                GateKind::TxXor,
-                seed + 1,
-                scaled(256, args.scale),
-            )
-        }),
-        Box::new(|| adder_workload(seed + 2, scaled(8, args.scale))),
-        Box::new(|| adder32_serial_workload(&circuit, seed + 4, scaled(4, args.scale))),
-        Box::new(|| {
-            adder32_batch_workload(&circuit, seed + 5, args.shards, scaled(256, args.scale))
-        }),
-        Box::new(|| sha1_block_workload(seed + 6, args.shards, scaled(16, args.scale))),
+    let mut anchor = Anchor::single(seed);
+    let mut sharded_anchor = Anchor::sharded(seed, args.shards);
+    let gate_ops = scaled(256, args.scale);
+    let workloads = [
+        gate_workload("bp_and", GateKind::And, seed, gate_ops, &mut anchor),
+        gate_workload("tsx_xor", GateKind::TxXor, seed + 1, gate_ops, &mut anchor),
+        adder_workload(seed + 2, scaled(8, args.scale), &mut anchor),
+        adder32_serial_workload(&circuit, seed + 4, scaled(4, args.scale), &mut anchor),
+        adder32_batch_workload(
+            &circuit,
+            seed + 5,
+            args.shards,
+            scaled(256, args.scale),
+            &mut sharded_anchor,
+        ),
+        sha1_block_workload(
+            seed + 6,
+            args.shards,
+            scaled(16, args.scale),
+            &mut sharded_anchor,
+        ),
     ];
-    // Every workload runs between two `bp_and` anchor passes; the first
-    // pass is the `bp_and` row itself.
-    let mut first = bp_and();
-    first.anchor_evals_per_sec = first.gate_evals_per_sec();
-    let mut before = first.anchor_evals_per_sec;
-    let mut workloads = vec![first];
-    for measure in &measures {
-        let mut w = measure();
-        let after = bp_and().gate_evals_per_sec();
-        w.anchor_evals_per_sec = (before + after) / 2.0;
-        before = after;
-        workloads.push(w);
-    }
-    let rate_of = |name: &str| -> f64 {
+    let workload = |name: &str| -> &Workload {
         workloads
             .iter()
             .find(|w| w.name == name)
             .expect("workload exists")
-            .gate_evals_per_sec()
     };
+    let rate_of = |name: &str| workload(name).gate_evals_per_sec();
     let batch_vs_serial = rate_of("adder32_batch") / rate_of("adder32_serial");
+    // The same ratio with each side in units of its own anchor (a sharded
+    // one for the batch): host drift between the two measurements and host
+    // cores busy elsewhere cancel, leaving the batch engine's gain per
+    // thread. This is the ratio the regression check compares.
+    let anchored_batch_vs_serial = workload("adder32_batch").evals_per_anchor_eval
+        / workload("adder32_serial").evals_per_anchor_eval;
 
     // A sharded AND run exercises the per-shard scratch reuse path.
     let sharded_ops = scaled(16 * uwm_bench::GATE_BATCH_OPS, args.scale);
@@ -396,7 +457,7 @@ fn main() {
     println!();
     println!(
         "batch engine: adder32_batch vs adder32_serial: {batch_vs_serial:.2}x \
-         gate-evals/sec at {} shard(s)",
+         gate-evals/sec at {} shard(s), {anchored_batch_vs_serial:.2}x anchored",
         args.shards
     );
 
@@ -430,6 +491,10 @@ fn main() {
                     Json::Num(rate_of("adder32_batch")),
                 ),
                 ("batch_vs_serial", Json::Num(batch_vs_serial)),
+                (
+                    "anchored_batch_vs_serial",
+                    Json::Num(anchored_batch_vs_serial),
+                ),
             ]),
         ),
     ];
@@ -473,15 +538,19 @@ fn main() {
                 let Some(base) = baseline_rate(&doc, w.name) else {
                     continue;
                 };
-                // Reports written before per-workload anchors fall back
-                // to their single `bp_and` pass.
-                let Some(base_anchor) = baseline_field(&doc, w.name, "anchor_evals_per_sec")
-                    .or_else(|| baseline_rate(&doc, "bp_and"))
+                // Reports written before paired sampling normalize by their
+                // anchor rate, or by their single `bp_and` pass before that.
+                let Some(base_norm) = baseline_field(&doc, w.name, "evals_per_anchor_eval")
+                    .or_else(|| {
+                        let anchor = baseline_field(&doc, w.name, "anchor_evals_per_sec")
+                            .or_else(|| baseline_rate(&doc, "bp_and"))?;
+                        Some(base / anchor)
+                    })
                 else {
                     regressions.push("baseline has no bp_and anchor workload".to_owned());
                     break;
                 };
-                let rel = (w.gate_evals_per_sec() / w.anchor_evals_per_sec) / (base / base_anchor);
+                let rel = w.evals_per_anchor_eval / base_norm;
                 if rel < 1.0 - frac {
                     regressions.push(format!(
                         "{}: {rel:.2}x of baseline (bp_and-normalized), \
@@ -491,16 +560,23 @@ fn main() {
                     ));
                 }
             }
-            if let Some(base_ratio) = doc
-                .get("batch")
-                .and_then(|b| b.get("batch_vs_serial"))
-                .and_then(Json::as_f64)
-            {
-                if batch_vs_serial < base_ratio * (1.0 - frac) {
+            let batch_field = |field: &str| doc.get("batch")?.get(field)?.as_f64();
+            // Reports written before anchored ratios compare the raw one.
+            let ratio = batch_field("anchored_batch_vs_serial")
+                .map(|base| ("anchored_batch_vs_serial", anchored_batch_vs_serial, base))
+                .or_else(|| {
+                    Some((
+                        "batch_vs_serial",
+                        batch_vs_serial,
+                        batch_field("batch_vs_serial")?,
+                    ))
+                });
+            if let Some((name, now, base)) = ratio {
+                if now < base * (1.0 - frac) {
                     regressions.push(format!(
-                        "batch_vs_serial: {batch_vs_serial:.2}x, below {:.2} \
-                         (baseline {base_ratio:.2}x at tolerance {frac})",
-                        base_ratio * (1.0 - frac)
+                        "{name}: {now:.2}x, below {:.2} \
+                         (baseline {base:.2}x at tolerance {frac})",
+                        base * (1.0 - frac)
                     ));
                 }
             }

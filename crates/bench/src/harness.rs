@@ -29,8 +29,48 @@ pub struct Measurement {
 /// Times `f`, printing a Criterion-style summary line, and returns the
 /// measurement. `label` conventionally uses `group/name` form.
 pub fn bench<F: FnMut()>(label: &str, mut f: F) -> Measurement {
-    // Calibrate: grow the iteration count until one sample takes long
-    // enough to time reliably.
+    let (iters, _) = calibrate(&mut f, SAMPLE_TARGET);
+    let samples = (0..SAMPLES).map(|_| sample(&mut f, iters)).collect();
+    summarize(label, samples, iters)
+}
+
+/// [`bench_against`]'s result.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Paired {
+    /// The measured closure.
+    pub work: Measurement,
+    /// The anchor, sampled alternately with it.
+    pub anchor: Measurement,
+    /// Median over sample pairs of the work's time per iteration divided
+    /// by the anchor's: host speed cancels pair by pair.
+    pub relative: f64,
+}
+
+/// Times `f` and `anchor` sample by sample: `anchor` is calibrated to
+/// `f`'s sample length, then one sample of each alternates, so a host
+/// that speeds up or slows down during the run moves both members of a
+/// pair alike.
+pub fn bench_against<F: FnMut(), A: FnMut()>(label: &str, mut f: F, mut anchor: A) -> Paired {
+    let (iters, span) = calibrate(&mut f, SAMPLE_TARGET);
+    let (anchor_iters, _) = calibrate(&mut anchor, span);
+    let (mut work, mut base) = (Vec::new(), Vec::new());
+    for _ in 0..SAMPLES {
+        base.push(sample(&mut anchor, anchor_iters));
+        work.push(sample(&mut f, iters));
+    }
+    let mut ratios: Vec<f64> = work.iter().zip(&base).map(|(w, a)| w / a).collect();
+    ratios.sort_by(f64::total_cmp);
+    Paired {
+        work: summarize(label, work, iters),
+        anchor: summarize(&format!("{label} (anchor)"), base, anchor_iters),
+        relative: ratios[ratios.len() / 2],
+    }
+}
+
+/// Grows the iteration count until one sample of `f` takes at least
+/// `target`, long enough to time reliably. Returns the count and that
+/// sample's duration.
+fn calibrate<F: FnMut()>(f: &mut F, target: Duration) -> (u64, Duration) {
     let mut iters = 1u64;
     loop {
         let start = Instant::now();
@@ -38,26 +78,29 @@ pub fn bench<F: FnMut()>(label: &str, mut f: F) -> Measurement {
             f();
         }
         let elapsed = start.elapsed();
-        if elapsed >= SAMPLE_TARGET || iters >= 1 << 24 {
-            break;
+        if elapsed >= target || iters >= 1 << 24 {
+            return (iters, elapsed);
         }
         let grow = if elapsed.is_zero() {
             16
         } else {
-            (SAMPLE_TARGET.as_nanos() / elapsed.as_nanos().max(1) + 1) as u64
+            (target.as_nanos() / elapsed.as_nanos().max(1) + 1) as u64
         };
         iters = (iters * grow.clamp(2, 16)).min(1 << 24);
     }
+}
 
-    let mut per_iter: Vec<f64> = (0..SAMPLES)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_nanos() as f64 / iters as f64
-        })
-        .collect();
+/// Nanoseconds per iteration of one `iters`-iteration sample of `f`.
+fn sample<F: FnMut()>(f: &mut F, iters: u64) -> f64 {
+    let start = Instant::now();
+    for _ in 0..iters {
+        f();
+    }
+    start.elapsed().as_nanos() as f64 / iters as f64
+}
+
+/// Reduces per-iteration samples to a [`Measurement`] and prints it.
+fn summarize(label: &str, mut per_iter: Vec<f64>, iters: u64) -> Measurement {
     per_iter.sort_by(|a, b| a.total_cmp(b));
     let m = Measurement {
         median_ns: per_iter[per_iter.len() / 2],
@@ -96,6 +139,25 @@ mod tests {
         assert!(m.iters > 1, "cheap closure must calibrate past 1 iter");
         assert!(m.median_ns >= 0.0);
         assert!(m.min_ns <= m.median_ns && m.median_ns <= m.max_ns);
+    }
+
+    #[test]
+    fn anchor_samples_span_the_work_samples() {
+        let (mut x, mut y) = (0u64, 0u64);
+        let p = bench_against(
+            "test/work",
+            || {
+                for _ in 0..64 {
+                    x = std::hint::black_box(x.wrapping_add(1));
+                }
+            },
+            || y = std::hint::black_box(y.wrapping_add(1)),
+        );
+        assert!(
+            p.anchor.iters > p.work.iters,
+            "a cheaper anchor runs more iterations"
+        );
+        assert!(p.relative > 1.0, "64 adds cost more than one");
     }
 
     #[test]

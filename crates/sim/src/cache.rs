@@ -90,6 +90,12 @@ pub(crate) enum RestoreScope {
 /// the cache was last restored from. The machine owns the snapshot
 /// bookkeeping; see `Machine::restore_from`.
 ///
+/// A repeat access of the line the previous access touched skips the
+/// set walk: that line is resident, its way is already the most recently
+/// used, and its set is already listed dirty, so the walk would change
+/// nothing but the hit count. Straight-line code thus walks each line
+/// once, not once per instruction.
+///
 /// # Examples
 ///
 /// ```
@@ -118,6 +124,10 @@ pub struct Cache {
     /// Snapshots only: the sets this snapshot differed in from its own
     /// anchor when it was taken.
     base: Vec<u32>,
+    /// The line of the most recent access, or [`INVALID_TAG`]: resident,
+    /// the MRU way of its set, and its set listed dirty. Everything else
+    /// that writes tags, replacement state or the dirty list clears it.
+    last: u64,
 }
 
 #[cfg(test)]
@@ -130,6 +140,13 @@ thread_local! {
 #[cfg(test)]
 fn count_copied(sets: usize) {
     SETS_COPIED.with(|c| c.set(c.get() + sets));
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Accesses on this thread that walked a set rather than taking the
+    /// same-line memo: what the memo tests count.
+    pub(crate) static SET_WALKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Sentinel for an empty way. Unreachable as a real line index: line
@@ -169,6 +186,7 @@ impl Cache {
             misses: 0,
             dirty: Vec::new(),
             base: Vec::new(),
+            last: INVALID_TAG,
         }
     }
 
@@ -199,17 +217,41 @@ impl Cache {
     /// Like [`Cache::access`] but also reports the evicted line, if any.
     pub fn access_evicting(&mut self, addr: u64) -> (bool, Option<u64>) {
         let line = line_of(addr);
-        let set = self.set_of(line);
-        let ways = &self.tags[self.set_range(line)];
-        if let Some(way) = ways.iter().position(|&t| t == line) {
-            self.repl[set].touch(way, self.cfg.ways);
-            self.mark(set);
+        if line == self.last {
+            debug_assert!(self.memo_holds(line), "stale same-line memo");
             self.hits += 1;
             return (true, None);
         }
-        self.misses += 1;
-        let evicted = self.fill_line(line);
-        (false, evicted)
+        #[cfg(test)]
+        SET_WALKS.with(|c| c.set(c.get() + 1));
+        let set = self.set_of(line);
+        let ways = &self.tags[self.set_range(line)];
+        let result = if let Some(way) = ways.iter().position(|&t| t == line) {
+            self.repl[set].touch(way, self.cfg.ways);
+            self.mark(set);
+            self.hits += 1;
+            (true, None)
+        } else {
+            self.misses += 1;
+            (false, self.fill_line(line))
+        };
+        self.last = line;
+        result
+    }
+
+    /// The memo's invariant for `line`: resident, touching its way leaves
+    /// the replacement state as it is, and its set is listed dirty.
+    fn memo_holds(&self, line: u64) -> bool {
+        let set = self.set_of(line);
+        let Some(way) = self.tags[self.set_range(line)]
+            .iter()
+            .position(|&t| t == line)
+        else {
+            return false;
+        };
+        let mut state = self.repl[set];
+        state.touch(way, self.cfg.ways);
+        state == self.repl[set] && self.dirty_bits[set / 64] & (1 << (set % 64)) != 0
     }
 
     fn fill_line(&mut self, line: u64) -> Option<u64> {
@@ -256,6 +298,7 @@ impl Cache {
         if let Some(t) = self.tags[range].iter_mut().find(|t| **t == line) {
             *t = INVALID_TAG;
             self.mark(self.set_of(line));
+            self.last = INVALID_TAG;
         }
     }
 
@@ -306,12 +349,14 @@ impl Cache {
         self.dirty.clone_from(&snap.dirty);
         self.hits = snap.hits;
         self.misses = snap.misses;
+        self.last = INVALID_TAG;
     }
 
     /// Turns a copy into a snapshot's view: the sets written since the
     /// anchor become the snapshot's base list, and its live dirty list
     /// starts empty. Both lists keep their allocations, so a snapshot
-    /// retaken in place allocates nothing.
+    /// retaken in place allocates nothing. The memo goes too: its set is
+    /// no longer listed dirty.
     pub(crate) fn rebase(&mut self) {
         // As in `restore_from`: zeroing the listed sets' words clears
         // exactly the list.
@@ -320,6 +365,13 @@ impl Cache {
         }
         std::mem::swap(&mut self.base, &mut self.dirty);
         self.dirty.clear();
+        self.last = INVALID_TAG;
+    }
+
+    /// Drops the same-line memo, so the next access walks its set.
+    #[cfg(test)]
+    pub(crate) fn forget_last(&mut self) {
+        self.last = INVALID_TAG;
     }
 
     /// Number of sets in the live dirty list.
@@ -335,7 +387,7 @@ impl Cache {
     }
 
     /// Whole-state equality: geometry, tags, replacement state and
-    /// counters (not the dirty bookkeeping).
+    /// counters (not the dirty bookkeeping or the memo).
     #[cfg(test)]
     pub(crate) fn same_state(&self, other: &Cache) -> bool {
         self.cfg == other.cfg
@@ -440,6 +492,107 @@ mod tests {
         }
         let (_, evicted) = c.access_evicting(4 * 64);
         assert_eq!(evicted, Some(0), "probe must not have touched LRU state");
+    }
+
+    #[test]
+    fn a_repeat_access_skips_the_walk() {
+        let mut c = tiny();
+        let walks = |c: &mut Cache, addr: u64| {
+            let before = SET_WALKS.with(|w| w.get());
+            c.access(addr);
+            SET_WALKS.with(|w| w.get()) - before
+        };
+        assert_eq!(walks(&mut c, 0), 1);
+        assert_eq!(walks(&mut c, 0x3F), 0, "same line: memo hit");
+        assert_eq!(walks(&mut c, 0x40), 1);
+        c.invalidate(0x40);
+        assert_eq!(walks(&mut c, 0x40), 1, "invalidation drops the memo");
+        assert_eq!(c.stats(), (1, 3));
+    }
+
+    /// Drives a cache and a twin that forgets its memo before every
+    /// access through one seeded stream of accesses, invalidations
+    /// (present and absent lines), restores of each scope, rebases and
+    /// clones, and asserts after every operation that the two agree in
+    /// what `access` returned, in state and in both set lists.
+    fn memo_matches_walking_twin(cfg: CacheConfig, ops: usize) {
+        use uwm_rng::rngs::StdRng;
+        use uwm_rng::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(cfg.sets as u64 ^ (cfg.ways as u64) << 20);
+        let mut memo = Cache::new(cfg, 9);
+        let mut twin = memo.clone();
+        // The machine's snapshot bookkeeping in miniature: snapshot ids,
+        // the anchor a snapshot was taken on, and the caches' anchor.
+        let mut snap = memo.clone();
+        let (mut snap_id, mut snap_base, mut anchor) = (0u32, 0u32, 0u32);
+        // `ways + 2` lines in each of (at most) four sets, so fills evict.
+        let pick = |rng: &mut StdRng| -> u64 {
+            let set = rng.gen_range(0..cfg.sets.min(4) as u64);
+            set + rng.gen_range(0..cfg.ways as u64 + 2) * cfg.sets as u64
+        };
+        let mut prev = 0u64;
+        for op in 0..ops {
+            let what = format!("{cfg:?}, op {op}");
+            // Half the accesses and invalidations hit the memo's line.
+            let line = if rng.gen_bool(0.5) {
+                prev
+            } else {
+                pick(&mut rng)
+            };
+            match rng.gen_range(0..12u32) {
+                0..=6 => {
+                    let addr = line * LINE_SIZE + rng.gen_range(0..LINE_SIZE);
+                    twin.forget_last();
+                    let got = memo.access_evicting(addr);
+                    assert_eq!(got, twin.access_evicting(addr), "{what}: access");
+                    prev = line;
+                }
+                7 => {
+                    memo.invalidate(line * LINE_SIZE);
+                    twin.invalidate(line * LINE_SIZE);
+                }
+                8 => {
+                    snap = memo.clone();
+                    snap.rebase();
+                    snap_id += 1;
+                    snap_base = anchor;
+                }
+                9 => {
+                    let scope = if anchor != 0 && anchor == snap_id && rng.gen_bool(0.8) {
+                        RestoreScope::Dirty
+                    } else if snap_base != 0 && anchor == snap_base && rng.gen_bool(0.8) {
+                        RestoreScope::DirtyAndBase
+                    } else {
+                        RestoreScope::Full
+                    };
+                    memo.restore_from(&snap, scope);
+                    twin.restore_from(&snap, scope);
+                    assert!(memo.same_state(&snap), "{what}: {scope:?} restore");
+                    anchor = snap_id;
+                }
+                10 => {
+                    memo.rebase();
+                    twin.rebase();
+                    anchor = 0;
+                }
+                _ => {
+                    memo = memo.clone();
+                    twin = twin.clone();
+                }
+            }
+            assert!(memo.same_state(&twin), "{what}: state");
+            assert_eq!(memo.lists(), twin.lists(), "{what}: set lists");
+        }
+    }
+
+    #[test]
+    fn memo_is_exact_under_every_policy_and_geometry() {
+        for policy in [Policy::Lru, Policy::TreePlru, Policy::Random] {
+            for (sets, ways) in [(2, 2), (64, 8), (4096, 16)] {
+                memo_matches_walking_twin(CacheConfig { sets, ways, policy }, 3_000);
+            }
+        }
     }
 
     #[test]

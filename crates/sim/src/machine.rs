@@ -686,7 +686,9 @@ impl Machine {
                     if self.tx.is_some() {
                         pc = self.tsx_abort_with_window(pc, cause);
                     } else {
-                        self.tracer.record(ArchEvent::Fault { pc });
+                        if self.tracer.is_enabled() {
+                            self.tracer.record(ArchEvent::Fault { pc });
+                        }
                         return RunOutcome::Fault { pc, cause };
                     }
                 }
@@ -698,7 +700,9 @@ impl Machine {
         self.cycles += self.inst_access(pc);
         let inst = self.fetch_inst(pc);
         self.stats.committed_insts += 1;
-        self.tracer.record(ArchEvent::Commit { pc, inst });
+        if self.tracer.is_enabled() {
+            self.tracer.record(ArchEvent::Commit { pc, inst });
+        }
         let lat = &self.cfg.latency;
         let next = pc + INST_SIZE;
         match inst {
@@ -880,7 +884,9 @@ impl Machine {
 
     fn write_reg(&mut self, dst: Reg, value: u64) {
         self.regs[dst as usize] = value;
-        self.tracer.record(ArchEvent::RegWrite { reg: dst, value });
+        if self.tracer.is_enabled() {
+            self.tracer.record(ArchEvent::RegWrite { reg: dst, value });
+        }
     }
 
     fn commit_store(&mut self, addr: u64, value: u64) {
@@ -891,7 +897,9 @@ impl Machine {
         }
         self.mem.write_u64(addr, value);
         self.invalidate_code(addr); // self-modifying code
-        self.tracer.record(ArchEvent::MemWrite { addr, value });
+        if self.tracer.is_enabled() {
+            self.tracer.record(ArchEvent::MemWrite { addr, value });
+        }
     }
 
     fn account_jump(&mut self, pc: u64, target: u64) {
@@ -1848,6 +1856,124 @@ mod tests {
             !has_secret,
             "aborted-tx contents must not appear in the trace"
         );
+    }
+
+    /// A run from `entry` with tracing switched on only for it records
+    /// exactly what a machine traced throughout recorded in that run:
+    /// commits, register and memory writes, a committed transaction and
+    /// a fault.
+    #[test]
+    fn enabling_the_tracer_between_runs_records_exactly_the_later_events() {
+        let mut a = Assembler::new(0);
+        a.push(Inst::Mov {
+            dst: 1,
+            src: Operand::Imm(5),
+        });
+        a.push(Inst::Store {
+            addr: 0x4000,
+            src: 1,
+        });
+        a.push(Inst::Halt);
+        let entry = 0x100;
+        a.align_to(entry);
+        a.xbegin("handler");
+        a.push(Inst::Mov {
+            dst: 2,
+            src: Operand::Imm(7),
+        });
+        a.push(Inst::Store {
+            addr: 0x4008,
+            src: 2,
+        });
+        a.push(Inst::Xend);
+        a.push(Inst::Alu {
+            op: AluOp::Add,
+            dst: 3,
+            a: 1,
+            b: Operand::Reg(2),
+        });
+        a.push(Inst::Div {
+            dst: 0,
+            a: 3,
+            b: Operand::Imm(0),
+        });
+        a.label("handler").unwrap();
+        a.push(Inst::Halt);
+        let program = a.finish().unwrap();
+
+        let mut always = quiet();
+        always.load_program(program.clone());
+        always.tracer_mut().set_enabled(true);
+        assert_eq!(always.run_at(0), RunOutcome::Halted);
+        let earlier = always.tracer().events().len();
+        assert!(earlier > 0);
+        always.run_at(entry);
+
+        let mut later = quiet();
+        later.load_program(program);
+        later.run_at(0);
+        assert!(later.tracer().events().is_empty());
+        later.tracer_mut().set_enabled(true);
+        assert!(matches!(later.run_at(entry), RunOutcome::Fault { .. }));
+
+        let events = later.tracer().events();
+        assert_eq!(events, &always.tracer().events()[earlier..]);
+        for kind in ["Commit", "RegWrite", "MemWrite", "TxCommit", "Fault"] {
+            assert!(
+                events.iter().any(|e| format!("{e:?}").starts_with(kind)),
+                "no {kind} event"
+            );
+        }
+    }
+
+    /// Set walks, at every cache level, while `f` runs on this thread.
+    fn set_walks(f: impl FnOnce()) -> usize {
+        let before = crate::cache::SET_WALKS.with(|c| c.get());
+        f();
+        crate::cache::SET_WALKS.with(|c| c.get()) - before
+    }
+
+    /// The same-line memo: once a line's set has been walked, the
+    /// instructions fetched from it walk nothing until something else
+    /// touches that cache or a restore rewrites it.
+    #[test]
+    fn each_code_line_is_walked_once() {
+        let mut a = Assembler::new(0);
+        a.label("top").unwrap();
+        a.jmp("top");
+        a.align_to(0x40);
+        for r in 0..8 {
+            a.push(Inst::Alu {
+                op: AluOp::Add,
+                dst: r,
+                a: r,
+                b: Operand::Imm(1),
+            });
+        }
+        let mut m = quiet();
+        m.load_program(a.finish().unwrap());
+        m.warm_code_range(0, 0x80);
+        let elsewhere = 0x1_0000;
+        m.touch_code(elsewhere);
+
+        m.set_step_limit(1_000);
+        let walks = set_walks(|| assert_eq!(m.run_at(0), RunOutcome::StepLimit));
+        assert_eq!(walks, 1, "a self-jump walks the L1I once");
+
+        m.touch_code(elsewhere);
+        m.set_step_limit(8);
+        let walks = set_walks(|| assert_eq!(m.run_at(0x40), RunOutcome::StepLimit));
+        assert_eq!(walks, 1, "eight instructions in one line walk it once");
+        assert_eq!(m.reg(7), 1);
+
+        let snap = m.snapshot();
+        m.restore_from(&snap);
+        assert_eq!(
+            set_walks(|| m.touch_code(0x40)),
+            1,
+            "a restore drops the memo"
+        );
+        assert_eq!(set_walks(|| m.touch_code(0x40)), 0);
     }
 
     #[test]
