@@ -535,22 +535,14 @@ fn main() {
                 if w.name == "bp_and" {
                     continue;
                 }
-                let Some(base) = baseline_rate(&doc, w.name) else {
+                let Some(base) = baseline_field(&doc, w.name, "evals_per_anchor_eval") else {
+                    regressions.push(format!(
+                        "baseline has no anchored rate for {}: regenerate it",
+                        w.name
+                    ));
                     continue;
                 };
-                // Reports written before paired sampling normalize by their
-                // anchor rate, or by their single `bp_and` pass before that.
-                let Some(base_norm) = baseline_field(&doc, w.name, "evals_per_anchor_eval")
-                    .or_else(|| {
-                        let anchor = baseline_field(&doc, w.name, "anchor_evals_per_sec")
-                            .or_else(|| baseline_rate(&doc, "bp_and"))?;
-                        Some(base / anchor)
-                    })
-                else {
-                    regressions.push("baseline has no bp_and anchor workload".to_owned());
-                    break;
-                };
-                let rel = w.evals_per_anchor_eval / base_norm;
+                let rel = w.evals_per_anchor_eval / base;
                 if rel < 1.0 - frac {
                     regressions.push(format!(
                         "{}: {rel:.2}x of baseline (bp_and-normalized), \
@@ -560,25 +552,21 @@ fn main() {
                     ));
                 }
             }
-            let batch_field = |field: &str| doc.get("batch")?.get(field)?.as_f64();
-            // Reports written before anchored ratios compare the raw one.
-            let ratio = batch_field("anchored_batch_vs_serial")
-                .map(|base| ("anchored_batch_vs_serial", anchored_batch_vs_serial, base))
-                .or_else(|| {
-                    Some((
-                        "batch_vs_serial",
-                        batch_vs_serial,
-                        batch_field("batch_vs_serial")?,
-                    ))
-                });
-            if let Some((name, now, base)) = ratio {
-                if now < base * (1.0 - frac) {
+            match doc
+                .get("batch")
+                .and_then(|b| b.get("anchored_batch_vs_serial"))
+                .and_then(Json::as_f64)
+            {
+                Some(base) if anchored_batch_vs_serial < base * (1.0 - frac) => {
                     regressions.push(format!(
-                        "{name}: {now:.2}x, below {:.2} \
+                        "anchored_batch_vs_serial: {anchored_batch_vs_serial:.2}x, below {:.2} \
                          (baseline {base:.2}x at tolerance {frac})",
                         base * (1.0 - frac)
                     ));
                 }
+                Some(_) => {}
+                None => regressions
+                    .push("baseline has no anchored_batch_vs_serial: regenerate it".to_owned()),
             }
         }
 

@@ -494,22 +494,6 @@ mod tests {
         assert_eq!(evicted, Some(0), "probe must not have touched LRU state");
     }
 
-    #[test]
-    fn a_repeat_access_skips_the_walk() {
-        let mut c = tiny();
-        let walks = |c: &mut Cache, addr: u64| {
-            let before = SET_WALKS.with(|w| w.get());
-            c.access(addr);
-            SET_WALKS.with(|w| w.get()) - before
-        };
-        assert_eq!(walks(&mut c, 0), 1);
-        assert_eq!(walks(&mut c, 0x3F), 0, "same line: memo hit");
-        assert_eq!(walks(&mut c, 0x40), 1);
-        c.invalidate(0x40);
-        assert_eq!(walks(&mut c, 0x40), 1, "invalidation drops the memo");
-        assert_eq!(c.stats(), (1, 3));
-    }
-
     /// Drives a cache and a twin that forgets its memo before every
     /// access through one seeded stream of accesses, invalidations
     /// (present and absent lines), restores of each scope, rebases and
