@@ -28,9 +28,10 @@
 //! with equally long samples of a `bp_and` anchor, and its rate is
 //! normalized by the anchor's pair by pair (the median over pairs), so
 //! the comparison cancels host speed (CI runners and dev machines differ)
-//! and drift during the run; the in-run `adder32_batch` / `adder32_serial`
-//! speedup — a pure ratio of the two anchored rates, host-independent at
-//! a fixed shard count — is compared directly.
+//! and drift during the run. The pooled workloads' anchor runs on as many
+//! threads as they have shards. The ratio of the anchored
+//! `adder32_batch` and `adder32_serial` rates is checked the same way.
+//! The baseline must be a report written by this version.
 
 use uwm_apps::{Sha1Batch, UwmSha1};
 use uwm_bench::harness::{bench_against, Paired};
