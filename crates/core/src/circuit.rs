@@ -17,6 +17,7 @@
 //! [`CircuitSpec::instantiate`] binds it to any [`Substrate`] — possibly
 //! several, possibly one per executor shard.
 
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -244,16 +245,11 @@ impl CircuitBuilder {
         }
         // Dedupe pooled fragments: composed specs can contribute the same
         // Arc-shared unit more than once; installing it twice would only
-        // re-predecode identical code.
-        let mut units: Vec<ProgramUnit> = Vec::with_capacity(self.units.len());
-        for u in self.units {
-            if !units
-                .iter()
-                .any(|kept| Arc::ptr_eq(&kept.program, &u.program))
-            {
-                units.push(u);
-            }
-        }
+        // re-predecode identical code. The first occurrence stays, so the
+        // install order is unchanged.
+        let mut units = self.units;
+        let mut seen = HashSet::with_capacity(units.len());
+        units.retain(|u| seen.insert(Arc::as_ptr(&u.program)));
         Ok(CircuitSpec {
             wires: self.wires,
             inputs: self.inputs,
@@ -743,6 +739,37 @@ mod tests {
         assert_eq!(c.gate_count(), 3, "xor = and_or + not + and");
         for (x, y) in [(false, false), (false, true), (true, false), (true, true)] {
             assert_eq!(c.run(&mut m, &[x, y]).unwrap(), vec![x ^ y]);
+        }
+    }
+
+    #[test]
+    fn repeated_units_keep_first_occurrence_order() {
+        let (mut m, mut lay) = setup();
+        let mut cb = CircuitBuilder::new();
+        let [a, b, c, d] = [(); 4].map(|_| cb.input(&mut lay).unwrap());
+        let q = cb.xor(&mut lay, a, b).unwrap();
+        let r = cb.xor(&mut lay, c, d).unwrap();
+        cb.mark_output(q);
+        cb.mark_output(r);
+        // Pool the two XORs' fragments again, shuffled, as composed specs
+        // sharing `Arc` units would.
+        let own: Vec<ProgramUnit> = cb.units.clone();
+        assert_eq!(own.len(), 6);
+        let order = [4, 1, 4, 0, 5, 1, 2, 3, 0, 5, 4];
+        cb.units.extend(order.map(|i| own[i].clone()));
+        cb.units.rotate_right(order.len());
+        let spec = cb.finish().unwrap();
+        let kept: Vec<*const Program> =
+            spec.units.iter().map(|u| Arc::as_ptr(&u.program)).collect();
+        let want: Vec<*const Program> = [4, 1, 0, 5, 2, 3]
+            .map(|i| Arc::as_ptr(&own[i].program))
+            .to_vec();
+        assert_eq!(kept, want);
+        let circuit = spec.instantiate(&mut m);
+        for bits in 0..16u32 {
+            let x = [0, 1, 2, 3].map(|i| bits >> i & 1 == 1);
+            let got = circuit.run(&mut m, &x).unwrap();
+            assert_eq!(got, vec![x[0] ^ x[1], x[2] ^ x[3]]);
         }
     }
 

@@ -38,12 +38,18 @@ pub enum PredictorKind {
 /// for _ in 0..4 { bp.update(pc, false); }
 /// assert!(!bp.predict(pc));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct DirectionPredictor {
     kind: PredictorKind,
     table: Vec<u8>,
     history: u64,
 }
+
+clone_by_field!(DirectionPredictor {
+    kind,
+    table,
+    history
+});
 
 impl Default for DirectionPredictor {
     fn default() -> Self {
@@ -140,11 +146,13 @@ impl DirectionPredictor {
 /// btb.update(0x100, 0x900);
 /// assert_eq!(btb.lookup(0x100), Some(0x900));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Btb {
     /// `(tag, target)` per entry.
     entries: Vec<Option<(u64, u64)>>,
 }
+
+clone_by_field!(Btb { entries });
 
 impl Btb {
     /// Creates an empty BTB with `entries` slots.

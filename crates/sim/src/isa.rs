@@ -10,7 +10,6 @@
 //! Addresses are 32-bit (a 4 GiB simulated address space); registers are
 //! `r0`–`r15`.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Size of every instruction in bytes.
@@ -442,9 +441,23 @@ impl Inst {
 ///
 /// Programs are usually built with an [`Assembler`]; `wm_apt` additionally
 /// decodes instructions straight out of simulated memory at run time.
+///
+/// The image is one vector of `(address, instruction)` pairs sorted by
+/// strictly increasing address. Lookups binary-search it; appending past
+/// the end, and merging a program that lies wholly after this one, are
+/// plain pushes. Every other merge is one linear two-way pass.
 #[derive(Debug, Clone, Default)]
 pub struct Program {
-    insts: BTreeMap<u64, Inst>,
+    insts: Vec<(u64, Inst)>,
+}
+
+/// Panics unless `pc` is an instruction address.
+fn check_aligned(pc: u64) {
+    assert_eq!(
+        pc % INST_SIZE,
+        0,
+        "instructions must be {INST_SIZE}-byte aligned"
+    );
 }
 
 impl Program {
@@ -455,7 +468,10 @@ impl Program {
 
     /// The instruction at `pc`, if any.
     pub fn get(&self, pc: u64) -> Option<Inst> {
-        self.insts.get(&pc).copied()
+        self.insts
+            .binary_search_by_key(&pc, |&(a, _)| a)
+            .ok()
+            .map(|i| self.insts[i].1)
     }
 
     /// Places `inst` at `pc`, replacing any previous instruction.
@@ -464,24 +480,60 @@ impl Program {
     ///
     /// Panics if `pc` is not a multiple of [`INST_SIZE`].
     pub fn put(&mut self, pc: u64, inst: Inst) {
-        assert_eq!(
-            pc % INST_SIZE,
-            0,
-            "instructions must be {INST_SIZE}-byte aligned"
-        );
-        self.insts.insert(pc, inst);
+        check_aligned(pc);
+        match self.insts.last() {
+            Some(&(last, _)) if pc <= last => {
+                match self.insts.binary_search_by_key(&pc, |&(a, _)| a) {
+                    Ok(i) => self.insts[i].1 = inst,
+                    Err(i) => self.insts.insert(i, (pc, inst)),
+                }
+            }
+            _ => self.insts.push((pc, inst)),
+        }
     }
 
     /// Merges another program's instructions into this one. Later
     /// definitions win on address clashes.
     pub fn merge(&mut self, other: Program) {
-        self.insts.extend(other.insts);
+        if self.insts.is_empty() {
+            self.insts = other.insts;
+        } else {
+            self.merge_sorted(&other.insts);
+        }
     }
 
     /// Merges `other`'s instructions from a shared reference — no
     /// intermediate [`Program`] clone (the `Arc`-shared unit install path).
     pub fn merge_from(&mut self, other: &Program) {
-        self.insts.extend(other.iter());
+        self.merge_sorted(&other.insts);
+    }
+
+    /// Merges a strictly increasing run of pairs; `other` wins clashes.
+    fn merge_sorted(&mut self, other: &[(u64, Inst)]) {
+        let overlaps = matches!(
+            (self.insts.last(), other.first()),
+            (Some(&(last, _)), Some(&(first, _))) if first <= last
+        );
+        if !overlaps {
+            self.insts.extend_from_slice(other);
+            return;
+        }
+        let mut merged = Vec::with_capacity(self.insts.len() + other.len());
+        let (mut i, mut j) = (0, 0);
+        while i < self.insts.len() && j < other.len() {
+            let (a, b) = (self.insts[i], other[j]);
+            if a.0 < b.0 {
+                merged.push(a);
+                i += 1;
+            } else {
+                merged.push(b);
+                i += usize::from(a.0 == b.0);
+                j += 1;
+            }
+        }
+        merged.extend_from_slice(&self.insts[i..]);
+        merged.extend_from_slice(&other[j..]);
+        self.insts = merged;
     }
 
     /// Number of instructions.
@@ -496,25 +548,40 @@ impl Program {
 
     /// Iterates over `(address, instruction)` pairs in address order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, Inst)> + '_ {
-        self.insts.iter().map(|(&a, &i)| (a, i))
+        self.insts.iter().copied()
     }
 }
 
 impl FromIterator<(u64, Inst)> for Program {
+    /// Collects pairs in any order; a later pair wins an address clash.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an address is not a multiple of [`INST_SIZE`].
     fn from_iter<T: IntoIterator<Item = (u64, Inst)>>(iter: T) -> Self {
-        let mut p = Program::new();
-        for (a, i) in iter {
-            p.put(a, i);
+        let mut insts: Vec<(u64, Inst)> = iter.into_iter().collect();
+        for &(pc, _) in &insts {
+            check_aligned(pc);
         }
-        p
+        if !insts.windows(2).all(|w| w[0].0 < w[1].0) {
+            // A stable sort keeps clashing pairs in arrival order; the
+            // dedupe then folds each run into its last pair.
+            insts.sort_by_key(|&(a, _)| a);
+            insts.dedup_by(|later, kept| {
+                let clash = later.0 == kept.0;
+                if clash {
+                    kept.1 = later.1;
+                }
+                clash
+            });
+        }
+        Program { insts }
     }
 }
 
 impl Extend<(u64, Inst)> for Program {
     fn extend<T: IntoIterator<Item = (u64, Inst)>>(&mut self, iter: T) {
-        for (a, i) in iter {
-            self.put(a, i);
-        }
+        self.merge(iter.into_iter().collect());
     }
 }
 
@@ -750,7 +817,9 @@ impl Assembler {
                 }
             }
         }
-        Ok(self.insts.into_iter().collect())
+        // `push` places each instruction one slot past the last, so the
+        // pcs already increase strictly: the vector is the image.
+        Ok(Program { insts: self.insts })
     }
 }
 
@@ -940,6 +1009,92 @@ mod tests {
         assert_eq!(a.get(0), Some(Inst::Fence));
         let addrs: Vec<u64> = a.iter().map(|(a, _)| a).collect();
         assert_eq!(addrs, vec![0, 8]);
+    }
+
+    /// Seeded streams of every way to add instructions, with clashing and
+    /// out-of-order addresses, against a `BTreeMap` in which later
+    /// definitions win.
+    #[test]
+    fn program_matches_ordered_map_model() {
+        use std::collections::BTreeMap;
+        use uwm_rng::rngs::StdRng;
+        use uwm_rng::{Rng, SeedableRng};
+
+        /// 1–12 pairs over 48 slots: runs in order, or shuffled.
+        fn pairs(rng: &mut StdRng) -> Vec<(u64, Inst)> {
+            let n = rng.gen_range(1..=12usize);
+            let mut pc = rng.gen_range(0..48u64) * INST_SIZE;
+            let sorted = rng.gen_bool(0.5);
+            (0..n)
+                .map(|_| {
+                    pc = if sorted {
+                        pc + rng.gen_range(1..4u64) * INST_SIZE
+                    } else {
+                        rng.gen_range(0..48u64) * INST_SIZE
+                    };
+                    let imm = rng.gen_range(0..1000u32);
+                    (
+                        pc,
+                        Inst::Mov {
+                            dst: 1,
+                            src: Operand::Imm(imm),
+                        },
+                    )
+                })
+                .collect()
+        }
+
+        for seed in 0..64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut prog = Program::new();
+            let mut model = BTreeMap::new();
+            for _ in 0..40 {
+                let batch = pairs(&mut rng);
+                model.extend(batch.iter().copied());
+                match rng.gen_range(0..5u32) {
+                    0 => {
+                        for &(pc, inst) in &batch {
+                            prog.put(pc, inst);
+                        }
+                    }
+                    1 => prog.merge(batch.into_iter().collect()),
+                    2 => prog.merge_from(&batch.into_iter().collect()),
+                    3 => {
+                        // Collecting the merged stream must agree too.
+                        prog = prog.iter().chain(batch).collect();
+                    }
+                    _ => prog.extend(batch),
+                }
+                let want: Vec<(u64, Inst)> = model.iter().map(|(&a, &i)| (a, i)).collect();
+                assert_eq!(prog.iter().collect::<Vec<_>>(), want, "seed {seed}");
+                assert_eq!(prog.len(), model.len());
+                assert_eq!(prog.is_empty(), model.is_empty());
+                for pc in (0..60 * INST_SIZE).step_by(INST_SIZE as usize) {
+                    assert_eq!(prog.get(pc), model.get(&pc).copied(), "pc {pc:#x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn assembled_program_is_the_pushed_image() {
+        let mut a = Assembler::new(0x40);
+        a.jmp("end");
+        a.align_to(64);
+        a.label("end").unwrap();
+        a.push(Inst::Halt);
+        let p = a.finish().unwrap();
+        let addrs: Vec<u64> = p.iter().map(|(a, _)| a).collect();
+        let want: Vec<u64> = (0..9).map(|i| 0x40 + i * INST_SIZE).collect();
+        assert_eq!(addrs, want);
+        assert_eq!(p.get(0x40), Some(Inst::Jmp { target: 0x80 }));
+        assert_eq!(p.get(0x80), Some(Inst::Halt));
+    }
+
+    #[test]
+    #[should_panic(expected = "aligned")]
+    fn misaligned_collect_panics() {
+        let _: Program = [(0, Inst::Nop), (12, Inst::Nop)].into_iter().collect();
     }
 
     #[test]

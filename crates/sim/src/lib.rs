@@ -39,6 +39,26 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+/// Implements `Clone` for a struct field by field. The derive leaves
+/// `clone_from` as `*self = src.clone()`, which frees and reallocates
+/// every buffer; this `clone_from` clones each field in place, so a
+/// restore into a warmed machine reuses the buffers it already has.
+/// Naming every field keeps the impl in step with the struct: `clone`
+/// does not compile while one is missing.
+macro_rules! clone_by_field {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl Clone for $ty {
+            fn clone(&self) -> Self {
+                Self { $($field: self.$field.clone()),+ }
+            }
+
+            fn clone_from(&mut self, src: &Self) {
+                $(self.$field.clone_from(&src.$field);)+
+            }
+        }
+    };
+}
+
 pub mod branch;
 pub mod cache;
 pub mod contention;

@@ -146,7 +146,7 @@ pub struct MachineStats {
 }
 
 /// State saved while a transaction is open.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct TxState {
     handler: u64,
     saved_regs: [u64; NUM_REGS],
@@ -158,6 +158,13 @@ struct TxState {
     doomed: bool,
 }
 
+clone_by_field!(TxState {
+    handler,
+    saved_regs,
+    undo_log,
+    doomed
+});
+
 /// Inline capacity of [`InflightTable`]; speculative windows track at most
 /// a handful of distinct lines, so spilling is rare.
 const INFLIGHT_INLINE: usize = 8;
@@ -166,13 +173,20 @@ const INFLIGHT_INLINE: usize = 8;
 /// data-ready time. A fixed-capacity linear-scan table (plus an overflow
 /// vector that keeps its allocation across windows) — windows touch so few
 /// lines that scanning beats hashing, and reuse makes it allocation-free.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct InflightTable {
     len: usize,
     keys: [(bool, u64); INFLIGHT_INLINE],
     done: [u64; INFLIGHT_INLINE],
     spill: Vec<((bool, u64), u64)>,
 }
+
+clone_by_field!(InflightTable {
+    len,
+    keys,
+    done,
+    spill
+});
 
 impl InflightTable {
     fn clear(&mut self) {
@@ -223,13 +237,18 @@ struct Lineage {
 
 /// Reusable speculative-window scratch owned by the machine, so opening a
 /// window allocates nothing in steady state.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct SpecScratch {
     /// Store buffer: `(addr, value, value-ready time)`.
     store_buf: Vec<(u64, u64, u64)>,
     /// In-flight line fills.
     inflight: InflightTable,
 }
+
+clone_by_field!(SpecScratch {
+    store_buf,
+    inflight
+});
 
 /// The simulated CPU.
 ///
@@ -312,17 +331,18 @@ impl Machine {
         Arc::make_mut(&mut self.code).rebuild(&self.program);
     }
 
-    /// Merges additional code into the loaded program and repredecodes.
+    /// Merges additional code into the loaded program and predecodes it
+    /// (the added code only; see [`CodeCache::add_static`]).
     pub fn add_program(&mut self, program: Program) {
+        Arc::make_mut(&mut self.code).add_static(&program);
         Arc::make_mut(&mut self.program).merge(program);
-        Arc::make_mut(&mut self.code).rebuild(&self.program);
     }
 
-    /// Merges additional code from a shared reference and repredecodes —
+    /// Merges additional code from a shared reference and predecodes it —
     /// no intermediate [`Program`] clone.
     pub fn add_program_from(&mut self, program: &Program) {
         Arc::make_mut(&mut self.program).merge_from(program);
-        Arc::make_mut(&mut self.code).rebuild(&self.program);
+        Arc::make_mut(&mut self.code).add_static(program);
     }
 
     /// The loaded static program.
@@ -2407,5 +2427,132 @@ mod restore_tests {
         );
         m.restore_from(&snap);
         assert_same(&m, &snap, true, "after flushes");
+    }
+}
+
+/// Unit installs predecode only the unit they add; the predecode cache
+/// must still come out exactly as a fresh `rebuild` of the merged program.
+#[cfg(test)]
+mod install_tests {
+    use super::*;
+    use crate::isa::Assembler;
+    use std::collections::BTreeMap;
+    use uwm_rng::rngs::StdRng;
+    use uwm_rng::{Rng, SeedableRng};
+
+    /// Units land anywhere on these four code pages.
+    const BASE: u64 = 0x1_0000;
+    const SLOTS: u64 = 4 * 4096 / INST_SIZE;
+    /// A stub that stores `r6` to `[r5]`: dynamic code written by the
+    /// machine itself.
+    const STUB: u64 = 0x100;
+
+    fn stub() -> Program {
+        let mut a = Assembler::new(STUB);
+        a.push(Inst::StoreInd {
+            base: 5,
+            offset: 0,
+            src: 6,
+        });
+        a.push(Inst::Halt);
+        a.finish().unwrap()
+    }
+
+    /// A straight run of 1–16 instructions ending in `Halt`.
+    fn unit(rng: &mut StdRng) -> Program {
+        let mut a = Assembler::new(BASE + rng.gen_range(0..SLOTS - 17) * INST_SIZE);
+        for _ in 0..rng.gen_range(0..16u32) {
+            a.push(Inst::Mov {
+                dst: 1,
+                src: Operand::Imm(rng.gen_range(0..1000u32)),
+            });
+        }
+        a.push(Inst::Halt);
+        a.finish().unwrap()
+    }
+
+    /// Every aligned pc of every page the stream touches.
+    fn pcs() -> impl Iterator<Item = u64> {
+        (STUB & !4095..4096)
+            .chain(BASE..BASE + SLOTS * INST_SIZE)
+            .step_by(INST_SIZE as usize)
+    }
+
+    /// The program equals the model, and every static slot of a fresh
+    /// rebuild is served as such; `exact` also requires the whole cache,
+    /// dynamic slots included, to equal the rebuild.
+    fn check(m: &Machine, model: &BTreeMap<u64, Inst>, exact: bool, what: &str) {
+        let want: Vec<(u64, Inst)> = model.iter().map(|(&a, &i)| (a, i)).collect();
+        assert_eq!(m.program.iter().collect::<Vec<_>>(), want, "{what}");
+        let mut fresh = CodeCache::new();
+        fresh.rebuild(&m.program);
+        for pc in pcs() {
+            let got = m.code.lookup(pc);
+            if exact || fresh.lookup(pc).is_some() {
+                assert_eq!(got, fresh.lookup(pc), "{what}: pc {pc:#x}");
+            }
+        }
+        if exact {
+            assert_eq!(m.code.has_dynamic(), fresh.has_dynamic(), "{what}");
+        }
+    }
+
+    #[test]
+    fn unit_installs_match_a_fresh_rebuild() {
+        for seed in 0..8 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut m = Machine::new(MachineConfig::quiet(), seed);
+            m.load_program(stub());
+            let mut model: BTreeMap<u64, Inst> = stub().iter().collect();
+            let mut snap: Option<(Box<Machine>, BTreeMap<u64, Inst>)> = None;
+            for op in 0..120 {
+                let what = format!("seed {seed} op {op}");
+                match rng.gen_range(0..6u32) {
+                    0 => {
+                        let u = unit(&mut rng);
+                        model.extend(u.iter());
+                        m.add_program_from(&u);
+                        check(&m, &model, true, &what);
+                    }
+                    1 => {
+                        let u = unit(&mut rng);
+                        model.extend(u.iter());
+                        m.add_program(u);
+                        check(&m, &model, true, &what);
+                    }
+                    2 => {
+                        let mut p = stub();
+                        p.merge(unit(&mut rng));
+                        model = p.iter().collect();
+                        m.load_program(p);
+                        check(&m, &model, true, &what);
+                    }
+                    3 | 4 => {
+                        // Code written behind the machine's back or by its
+                        // own store, then fetched: a dynamic slot.
+                        let pc = BASE + rng.gen_range(0..SLOTS) * INST_SIZE;
+                        if model.contains_key(&pc) {
+                            continue;
+                        }
+                        let halt = Inst::Halt.encode();
+                        if op % 2 == 0 {
+                            m.mem_mut().write_bytes(pc, &halt);
+                        } else {
+                            m.set_reg(5, pc);
+                            m.set_reg(6, u64::from_le_bytes(halt));
+                            assert_eq!(m.run_at(STUB), RunOutcome::Halted);
+                        }
+                        assert_eq!(m.run_at(pc), RunOutcome::Halted, "{what}");
+                        assert!(m.code.has_dynamic(), "{what}");
+                        check(&m, &model, false, &what);
+                    }
+                    _ => snap = Some((m.snapshot(), model.clone())),
+                }
+                // A snapshot shares the cache; installs must not reach it.
+                if let Some((s, s_model)) = &snap {
+                    check(s, s_model, false, &format!("{what} (snapshot)"));
+                }
+            }
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! Predecoded instruction cache: the fetch fast path.
 //!
 //! Every committed and speculative step fetches an instruction, and before
-//! this module existed each fetch walked the static program's `BTreeMap`
-//! and then re-decoded eight bytes of simulated memory. [`CodeCache`]
+//! this module existed each fetch searched the static program and then
+//! re-decoded eight bytes of simulated memory. [`CodeCache`]
 //! decodes each instruction slot once and serves later fetches as an index
 //! lookup into a dense per-page table. This is purely a host-side
 //! optimization: it must never change what an address decodes to, so the
@@ -104,6 +104,20 @@ impl CodeCache {
         self.last = None;
         self.dynamic_slots = 0;
         for (pc, inst) in program.iter() {
+            if pc.is_multiple_of(INST_SIZE) {
+                *self.slot_mut(pc) = Slot::Static(inst);
+            }
+        }
+    }
+
+    /// Predecodes a unit just merged into the static program, without
+    /// touching the rest of it: drops every dynamic slot, then installs
+    /// `unit`'s instructions as static slots. Static slots always mirror
+    /// the program, and the unit wins every clash of the merge, so the
+    /// result equals a [`CodeCache::rebuild`] of the merged program.
+    pub fn add_static(&mut self, unit: &Program) {
+        self.drop_dynamic();
+        for (pc, inst) in unit.iter() {
             if pc.is_multiple_of(INST_SIZE) {
                 *self.slot_mut(pc) = Slot::Static(inst);
             }

@@ -62,7 +62,7 @@ pub enum ArchEvent {
 /// t.record(ArchEvent::TxCommit);
 /// assert_eq!(t.events().len(), 1);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Tracer {
     events: Vec<ArchEvent>,
     /// Events staged inside an open transaction (invisible until commit).
@@ -70,6 +70,13 @@ pub struct Tracer {
     in_tx: bool,
     enabled: bool,
 }
+
+clone_by_field!(Tracer {
+    events,
+    tx_buffer,
+    in_tx,
+    enabled
+});
 
 impl Tracer {
     /// A new, enabled tracer.
