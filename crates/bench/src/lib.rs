@@ -2,14 +2,15 @@
 //!
 //! Reusable experiment runners that regenerate every table and figure of
 //! the paper's evaluation (§6). Each `src/bin/table*.rs` binary prints one
-//! table in the paper's row format; the Criterion benches under `benches/`
-//! measure host-side throughput and ablations.
+//! table in the paper's row format; the benches under `benches/` measure
+//! host-side throughput and ablations with the in-tree mini-harness
+//! ([`harness`]).
 //!
 //! | Experiment | Runner | Binary |
 //! |---|---|---|
 //! | Table 2 (gate perf + accuracy)     | [`gate_performance_sharded`] | `table2` |
-//! | Table 3 + Fig 6 (trigger pings)    | [`trigger_distribution`]  | `table3_fig6` |
-//! | Table 4 (SHA-1 gate correctness)   | [`sha1_experiment`]       | `table4` |
+//! | Table 3 + Fig 6 (trigger pings)    | [`trigger_distribution_sharded`] | `table3_fig6` |
+//! | Table 4 (SHA-1 gate correctness)   | [`sha1_experiments_sharded`] | `table4` |
 //! | Table 5 (BP/IC gate accuracy)      | [`gate_performance_sharded`] | `table5` |
 //! | Figures 7–8 (timing KDEs)          | [`delay_histogram`]       | `fig7_fig8` |
 //! | Tables 6–7 (TSX read delays)       | [`sharded_delays`]        | `table6_table7` |
@@ -197,17 +198,23 @@ impl GateRun {
     }
 }
 
-/// Executes the `kind` gate `ops` times with random inputs and reports
-/// accuracy + throughput. This is the Table 2 / Table 5 / Table 8
+/// Executes the `kind` gate `ops` times with inputs drawn from an RNG
+/// seeded with `seed`, appends every output-read delay to `delays`, and
+/// reports accuracy + throughput. This is the Table 2 / Table 5 / Table 8
 /// measurement core.
-pub fn gate_run(sk: &mut Skelly, kind: GateKind, ops: u64, seed: u64) -> GateRun {
-    let arity = kind.arity();
+pub fn gate_run(
+    sk: &mut Skelly,
+    kind: GateKind,
+    ops: u64,
+    seed: u64,
+    delays: &mut Vec<u64>,
+) -> GateRun {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut correct = 0u64;
     let aborts_before = sk.machine().stats().tx_spurious_aborts;
     let cycles_before = sk.machine().cycles();
     let start = Instant::now();
-    let mut inputs = vec![false; arity];
+    let mut inputs = vec![false; kind.arity()];
     for _ in 0..ops {
         for b in &mut inputs {
             *b = rng.gen();
@@ -216,6 +223,7 @@ pub fn gate_run(sk: &mut Skelly, kind: GateKind, ops: u64, seed: u64) -> GateRun
         if r.bit == kind.truth(&inputs) {
             correct += 1;
         }
+        delays.push(r.delay);
     }
     GateRun {
         ops,
@@ -224,12 +232,6 @@ pub fn gate_run(sk: &mut Skelly, kind: GateKind, ops: u64, seed: u64) -> GateRun
         sim_cycles: sk.machine().cycles() - cycles_before,
         spurious_aborts: sk.machine().stats().tx_spurious_aborts - aborts_before,
     }
-}
-
-/// [`gate_run`] on a fresh default-noise machine.
-pub fn gate_performance(kind: GateKind, ops: u64, seed: u64) -> GateRun {
-    let mut sk = Skelly::noisy(seed).expect("skelly builds");
-    gate_run(&mut sk, kind, ops, seed ^ 0xBEEF)
 }
 
 /// Operations per hermetic batch in the sharded runners. Fixed, so the
@@ -268,18 +270,11 @@ impl ShardedGateRun {
     }
 }
 
-struct GateBatch {
-    ops: u64,
-    correct: u64,
-    sim_cycles: u64,
-    spurious_aborts: u64,
-    delays: Vec<u64>,
-}
-
-/// [`gate_performance`] fanned across `shards` threads: one machine-free
-/// [`SkellySpec`] instantiated per hermetic batch of [`GATE_BATCH_OPS`]
-/// operations. Merged counts and delay statistics are deterministic per
-/// `(kind, ops, seed)` for every shard count.
+/// [`gate_run`] on default-noise machines, fanned across `shards`
+/// threads: one machine-free [`SkellySpec`] instantiated per hermetic
+/// batch of [`GATE_BATCH_OPS`] operations. Merged counts and delay
+/// statistics are deterministic per `(kind, ops, seed)` for every shard
+/// count.
 pub fn gate_performance_sharded(
     kind: GateKind,
     ops: u64,
@@ -290,52 +285,34 @@ pub fn gate_performance_sharded(
     let exec = ShardedExecutor::new(shards);
     let batches = ops.div_ceil(GATE_BATCH_OPS).max(1) as usize;
     let start = Instant::now();
-    // Per-shard scratch: the input buffer survives across a worker's
-    // batches; its contents are fully overwritten before each use.
-    let parts = exec.run_with(batches, Vec::new, |i, inputs: &mut Vec<bool>| {
+    let parts = exec.run(batches, |i| {
         let done = i as u64 * GATE_BATCH_OPS;
         let batch_ops = GATE_BATCH_OPS.min(ops - done);
         let mut sk = spec.instantiate(MachineConfig::default(), batch_seed(seed, i));
-        let mut rng = StdRng::seed_from_u64(batch_seed(seed ^ 0xBEEF, i));
-        inputs.clear();
-        inputs.resize(kind.arity(), false);
-        let aborts_before = sk.machine().stats().tx_spurious_aborts;
-        let cycles_before = sk.machine().cycles();
-        let mut correct = 0u64;
         let mut delays = Vec::with_capacity(batch_ops as usize);
-        for _ in 0..batch_ops {
-            for b in inputs.iter_mut() {
-                *b = rng.gen();
-            }
-            let r = sk.execute_timed(kind, inputs).expect("arity matches");
-            if r.bit == kind.truth(inputs) {
-                correct += 1;
-            }
-            delays.push(r.delay);
-        }
-        GateBatch {
-            ops: batch_ops,
-            correct,
-            sim_cycles: sk.machine().cycles() - cycles_before,
-            spurious_aborts: sk.machine().stats().tx_spurious_aborts - aborts_before,
-            delays,
-        }
+        let run = gate_run(
+            &mut sk,
+            kind,
+            batch_ops,
+            batch_seed(seed ^ 0xBEEF, i),
+            &mut delays,
+        );
+        (run, delays)
     });
-    let seconds = start.elapsed().as_secs_f64();
     let mut run = GateRun {
         ops: 0,
         correct: 0,
-        seconds,
+        seconds: start.elapsed().as_secs_f64(),
         sim_cycles: 0,
         spurious_aborts: 0,
     };
     let mut delays = Vec::with_capacity(ops as usize);
-    for p in &parts {
+    for (p, batch_delays) in &parts {
         run.ops += p.ops;
         run.correct += p.correct;
         run.sim_cycles += p.sim_cycles;
         run.spurious_aborts += p.spurious_aborts;
-        delays.extend_from_slice(&p.delays);
+        delays.extend_from_slice(batch_delays);
     }
     let delays = if delays.is_empty() {
         Summary::from_samples(&[0])
@@ -349,14 +326,16 @@ pub fn gate_performance_sharded(
     }
 }
 
-/// Collects one delay sample per operation from `sample`, fanning
-/// hermetic batches across `shards` threads. Each batch gets a fresh
-/// skelly (instantiated from one shared spec) and a seeded RNG; results
+/// Collects one sample per operation from `sample` — a read delay, or a
+/// delay with the threshold it was decoded against — fanning hermetic
+/// batches across `shards` threads. Each batch gets a fresh skelly
+/// (instantiated from one shared spec) and a seeded RNG; results
 /// concatenate in batch order, so the full vector is deterministic per
 /// seed for every shard count.
-pub fn sharded_delays<F>(ops: u64, seed: u64, shards: usize, sample: F) -> Vec<u64>
+pub fn sharded_delays<T, F>(ops: u64, seed: u64, shards: usize, sample: F) -> Vec<T>
 where
-    F: Fn(&mut Skelly, &mut StdRng) -> u64 + Sync,
+    T: Send + Clone,
+    F: Fn(&mut Skelly, &mut StdRng) -> T + Sync,
 {
     let spec = SkellySpec::new().expect("spec builds");
     let exec = ShardedExecutor::new(shards);
@@ -368,7 +347,7 @@ where
         let mut rng = StdRng::seed_from_u64(batch_seed(seed ^ 0xF00D, i));
         (0..n)
             .map(|_| sample(&mut sk, &mut rng))
-            .collect::<Vec<u64>>()
+            .collect::<Vec<T>>()
     })
     .concat()
 }
@@ -409,17 +388,12 @@ pub fn delay_histogram(delays: &[u64], bucket: u64) -> Vec<(u64, u64)> {
     map.into_iter().collect()
 }
 
-/// Runs `experiments` arm-and-trigger experiments and returns the number
-/// of pings each needed before the payload fired (Table 3 / Figure 6).
-/// `cap` bounds each experiment so pathological noise cannot hang it.
-pub fn trigger_distribution(experiments: u32, cap: u32, seed: u64) -> Vec<u32> {
-    trigger_distribution_sharded(experiments, cap, seed, 1)
-}
-
-/// [`trigger_distribution`] with each arm-and-trigger experiment fanned
-/// across `shards` threads. Experiments are hermetic by construction
-/// (each builds its own machine from `seed + index`), so the counts are
-/// identical for every shard count.
+/// Runs `experiments` arm-and-trigger experiments fanned across `shards`
+/// threads and returns the number of pings each needed before the payload
+/// fired (Table 3 / Figure 6). `cap` bounds each experiment so
+/// pathological noise cannot hang it. Experiments are hermetic by
+/// construction (each builds its own machine from `seed + index`), so the
+/// counts are identical for every shard count.
 pub fn trigger_distribution_sharded(
     experiments: u32,
     cap: u32,
@@ -453,15 +427,9 @@ pub struct Sha1Experiment {
     pub counters: Vec<(&'static str, GateCounters)>,
 }
 
-/// Hashes `message` on weird gates with the given redundancy under
-/// default noise, and reports per-gate median/vote correctness — the
-/// Table 4 experiment.
-pub fn sha1_experiment(message: &[u8], red: Redundancy, seed: u64) -> Sha1Experiment {
-    sha1_experiment_cfg(MachineConfig::default(), message, red, seed)
-}
-
-/// Independent [`sha1_experiment`] runs (seeds `seed..seed+runs`) fanned
-/// across `shards` threads, returned in run order.
+/// Independent default-noise [`sha1_experiment_cfg`] runs (seeds
+/// `seed..seed+runs`) fanned across `shards` threads, returned in run
+/// order — the Table 4 experiment.
 pub fn sha1_experiments_sharded(
     message: &[u8],
     red: Redundancy,
@@ -470,11 +438,17 @@ pub fn sha1_experiments_sharded(
     shards: usize,
 ) -> Vec<Sha1Experiment> {
     ShardedExecutor::new(shards).run(runs as usize, |r| {
-        sha1_experiment(message, red, seed.wrapping_add(r as u64))
+        sha1_experiment_cfg(
+            MachineConfig::default(),
+            message,
+            red,
+            seed.wrapping_add(r as u64),
+        )
     })
 }
 
-/// [`sha1_experiment`] with an explicit machine configuration.
+/// Hashes `message` on weird gates on a `cfg` machine with the given
+/// redundancy, and reports per-gate median/vote correctness.
 pub fn sha1_experiment_cfg(
     cfg: MachineConfig,
     message: &[u8],
@@ -517,8 +491,10 @@ mod tests {
     #[test]
     fn gate_run_counts_and_times() {
         let mut sk = Skelly::quiet(0).unwrap();
-        let r = gate_run(&mut sk, GateKind::TxAnd, 50, 1);
+        let mut delays = Vec::new();
+        let r = gate_run(&mut sk, GateKind::TxAnd, 50, 1, &mut delays);
         assert_eq!(r.ops, 50);
+        assert_eq!(delays.len(), 50);
         assert_eq!(r.correct, 50, "quiet machine is exact");
         assert!(r.sim_cycles > 0);
         assert!((r.accuracy() - 1.0).abs() < f64::EPSILON);
@@ -532,7 +508,7 @@ mod tests {
 
     #[test]
     fn trigger_distribution_quiet_cap() {
-        let counts = trigger_distribution(2, 50, 1000);
+        let counts = trigger_distribution_sharded(2, 50, 1000, 1);
         assert_eq!(counts.len(), 2);
         assert!(counts.iter().all(|&c| (1..=50).contains(&c)));
     }

@@ -23,15 +23,11 @@ use std::sync::Arc;
 
 use crate::error::{CoreError, Result};
 use crate::gate::tsx::TsxGate;
-use crate::gate::{set_dc, GateKind, GateReading, ProgramUnit, WeirdGate, READ_THRESHOLD};
+use crate::gate::{read_out, set_dc, GateKind, GateReading, ProgramUnit, WeirdGate};
 use crate::layout::Layout;
 use crate::skelly::calibrate_threshold;
 use crate::substrate::Substrate;
 use uwm_sim::isa::Program;
-
-/// Samples used when calibrating a circuit's read threshold at
-/// instantiation time (odd, so the median is a real sample).
-const CALIBRATION_SAMPLES: usize = 33;
 
 /// A handle to one weird-register wire inside a circuit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -430,17 +426,17 @@ impl CircuitPlan {
     /// Binds the plan to an execution backend: installs the merged program
     /// image (one predecode pass), warms the declared code ranges, then
     /// calibrates the read threshold against this backend's actual timing
-    /// by probing the first output wire. A circuit with no outputs falls
-    /// back to the default [`READ_THRESHOLD`].
+    /// by probing the first output wire. A circuit with no outputs reads
+    /// nothing, so it calibrates nothing.
     pub fn instantiate<S: Substrate + ?Sized>(&self, s: &mut S) -> Circuit {
         s.install_shared(&self.program);
         for &(base, end) in &self.warm {
             s.warm_code_range(base, end);
         }
-        let threshold = match self.output_addrs.first() {
-            Some(&probe) => calibrate_threshold(s, probe, CALIBRATION_SAMPLES),
-            None => READ_THRESHOLD,
-        };
+        let threshold = self
+            .output_addrs
+            .first()
+            .map_or(0, |&probe| calibrate_threshold(s, probe));
         Circuit {
             plan: self.clone(),
             threshold,
@@ -484,8 +480,9 @@ impl Circuit {
         self.plan.outputs.len()
     }
 
-    /// The read threshold decided at instantiation time (calibrated unless
-    /// the pre-plan binding path was used).
+    /// The read threshold calibrated at instantiation on the backend the
+    /// circuit is bound to (0 for a circuit with no outputs, which reads
+    /// nothing).
     pub fn threshold(&self) -> u64 {
         self.threshold
     }
@@ -539,13 +536,7 @@ impl Circuit {
             .plan
             .output_addrs
             .iter()
-            .map(|&addr| {
-                let delay = s.timed_read_tsc(addr);
-                GateReading {
-                    bit: delay < self.threshold,
-                    delay,
-                }
-            })
+            .map(|&addr| read_out(s, addr, self.threshold))
             .collect())
     }
 

@@ -84,53 +84,7 @@ impl ShardedExecutor {
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        if self.shards == 1 || batches <= 1 {
-            return (0..batches).map(&work).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(batches));
-        std::thread::scope(|scope| {
-            for _ in 0..self.shards.min(batches) {
-                scope.spawn(|| {
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= batches {
-                            break;
-                        }
-                        local.push((idx, work(idx)));
-                    }
-                    // Free a kept snapshot while the scope still waits
-                    // for this thread (see `drop_spare`).
-                    crate::substrate::drop_spare();
-                    results
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .extend(local);
-                });
-            }
-        });
-        let mut out = results
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        out.sort_by_key(|(idx, _)| *idx);
-        debug_assert_eq!(out.len(), batches);
-        out.into_iter().map(|(_, r)| r).collect()
-    }
-
-    /// Like [`ShardedExecutor::run`], but folds the ordered batch results
-    /// into an accumulator — the common "merge counters" pattern.
-    pub fn run_fold<R, A, F, M>(&self, batches: usize, work: F, init: A, mut merge: M) -> A
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-        M: FnMut(A, R) -> A,
-    {
-        let mut acc = init;
-        for r in self.run(batches, work) {
-            acc = merge(acc, r);
-        }
-        acc
+        self.run_with(batches, || (), |i, _| work(i))
     }
 
     /// Like [`ShardedExecutor::run`], but each worker thread carries a
@@ -166,8 +120,9 @@ impl ShardedExecutor {
                         }
                         local.push((idx, work(idx, &mut scratch)));
                     }
-                    // As in `run`; dropping the shard state first frees
-                    // its snapshot too.
+                    // Free a kept snapshot while the scope still waits
+                    // for this thread (see `drop_spare`); dropping the
+                    // shard state first frees its snapshot too.
                     drop(scratch);
                     crate::substrate::drop_spare();
                     results
@@ -217,13 +172,6 @@ mod tests {
     fn more_shards_than_batches_is_fine() {
         let exec = ShardedExecutor::new(16);
         assert_eq!(exec.run(3, |i| i), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn run_fold_merges_in_order() {
-        let exec = ShardedExecutor::new(4);
-        let total = exec.run_fold(10, |i| i as u64, 0u64, |a, r| a * 10 + r);
-        assert_eq!(total, 123_456_789); // 0,1,2,...,9 folded positionally
     }
 
     #[test]

@@ -181,6 +181,8 @@ pub struct BpGate {
     /// The second block of the two-block kinds (`OR`, `AND_AND_OR`).
     second: Option<BranchBlock>,
     out: u64,
+    /// Read threshold calibrated on the bound backend (0 until bound).
+    threshold: u64,
 }
 
 impl BpGate {
@@ -223,8 +225,14 @@ impl BpGate {
             first,
             second,
             out,
+            threshold: 0,
         };
-        Ok(GateSpec::new(gate, units))
+        Ok(GateSpec::new(gate, units, out, Self::bind))
+    }
+
+    /// The gate, decoding its output reads against `threshold`.
+    pub(crate) fn bind(self, threshold: u64) -> Self {
+        Self { threshold, ..self }
     }
 }
 
@@ -265,7 +273,7 @@ impl WeirdGate for BpGate {
 
     fn activate_read(&self, s: &mut dyn Substrate) -> GateReading {
         s.run_at(self.first.branch_pc);
-        read_out(s, self.out)
+        read_out(s, self.out, self.threshold)
     }
 }
 

@@ -26,7 +26,8 @@
 //!    `BpGate::spec(kind, &mut lay)` or `TsxXor::spec(&mut lay)`.
 //! 2. An **instance** is the gate bound to a backend:
 //!    `spec.instantiate(&mut substrate)` installs and warms the programs on
-//!    any [`Substrate`] and returns the runnable gate value.
+//!    any [`Substrate`], calibrates the hit/miss threshold there, and
+//!    returns the runnable gate value, which decodes its reads against it.
 //!
 //! The same spec can be instantiated on any number of backends (the
 //! emulation detector does exactly this) or on every shard of a
@@ -38,13 +39,9 @@ pub mod tsx;
 use std::sync::Arc;
 
 use crate::error::{CoreError, Result};
+use crate::skelly::calibrate_threshold;
 use crate::substrate::Substrate;
 use uwm_sim::isa::Program;
-
-/// Default decision threshold (cycles) separating hit-like from miss-like
-/// output reads, `rdtscp` overhead included. See
-/// [`crate::skelly::calibrate_threshold`] for a machine-specific value.
-pub const READ_THRESHOLD: u64 = 130;
 
 /// The ten weird gates of the paper's tables.
 ///
@@ -193,7 +190,9 @@ pub struct ProgramUnit {
 
 /// A machine-independent description of a built gate: the gate's wiring
 /// (a `Copy` value of addresses) plus the program fragments it needs
-/// installed, in install order.
+/// installed, in install order. The gate value in a spec is unbound: it
+/// decodes against the threshold its backend calibrates at
+/// [`GateSpec::instantiate`].
 ///
 /// # Examples
 ///
@@ -213,25 +212,37 @@ pub struct ProgramUnit {
 pub struct GateSpec<G> {
     gate: G,
     units: Vec<ProgramUnit>,
+    /// The gate's first output register, the line its threshold is
+    /// calibrated on.
+    probe: u64,
+    /// Returns the gate decoding against a given threshold.
+    bind: fn(G, u64) -> G,
 }
 
 impl<G: Copy> GateSpec<G> {
-    /// Wraps a wired gate value and its program fragments.
-    pub(crate) fn new(gate: G, units: Vec<ProgramUnit>) -> Self {
-        Self { gate, units }
+    /// Wraps a wired gate value, its program fragments, its first output
+    /// register and the function that sets its threshold.
+    pub(crate) fn new(gate: G, units: Vec<ProgramUnit>, probe: u64, bind: fn(G, u64) -> G) -> Self {
+        Self {
+            gate,
+            units,
+            probe,
+            bind,
+        }
     }
 
     /// Binds the spec to an execution backend: installs every program
     /// fragment and warms the declared code ranges, in build order, then
-    /// returns the runnable gate.
+    /// calibrates the read threshold on the gate's first output register
+    /// and returns the runnable gate, which decodes against it.
     pub fn instantiate<S: Substrate + ?Sized>(&self, s: &mut S) -> G {
         install_units(s, &self.units);
-        self.gate
+        (self.bind)(self.gate, calibrate_threshold(s, self.probe))
     }
 
-    /// Moves the program fragments onto `units` and returns the gate
-    /// value (composite structures — circuits, skelly, XOR — pool
-    /// fragments).
+    /// Moves the program fragments onto `units` and returns the unbound
+    /// gate value (composite structures — circuits, skelly, XOR — pool
+    /// fragments and bind or read on their own).
     pub(crate) fn into_gate(self, units: &mut Vec<ProgramUnit>) -> G {
         units.extend(self.units);
         self.gate
@@ -350,11 +361,14 @@ pub(crate) fn set_dc<S: Substrate + ?Sized>(s: &mut S, addr: u64, bit: bool) {
     }
 }
 
-/// Reads a gate output: one timed load against [`READ_THRESHOLD`].
-pub(crate) fn read_out<S: Substrate + ?Sized>(s: &mut S, out: u64) -> GateReading {
+/// Reads a gate or circuit output: one timed load, decoded as 1 when it
+/// is faster than `threshold` — the value
+/// [`calibrate_threshold`] measured on this backend. The one place a read
+/// delay becomes a bit.
+pub(crate) fn read_out<S: Substrate + ?Sized>(s: &mut S, out: u64, threshold: u64) -> GateReading {
     let delay = s.timed_read_tsc(out);
     GateReading {
-        bit: delay < READ_THRESHOLD,
+        bit: delay < threshold,
         delay,
     }
 }

@@ -140,6 +140,8 @@ pub struct TsxGate {
     ins: [u64; 2],
     /// Output registers; the first `kind.outputs()` are wired.
     outs: [u64; 2],
+    /// Read threshold calibrated on the bound backend (0 until bound).
+    threshold: u64,
 }
 
 impl TsxGate {
@@ -214,10 +216,16 @@ impl TsxGate {
             pc,
             ins: [0; 2],
             outs: [0; 2],
+            threshold: 0,
         };
         gate.ins[..ins.len()].copy_from_slice(ins);
         gate.outs[..outs.len()].copy_from_slice(outs);
-        Ok(GateSpec::new(gate, vec![unit]))
+        Ok(GateSpec::new(gate, vec![unit], outs[0], Self::bind))
+    }
+
+    /// The gate, decoding its output reads against `threshold`.
+    pub(crate) fn bind(self, threshold: u64) -> Self {
+        Self { threshold, ..self }
     }
 
     /// Input register addresses.
@@ -260,7 +268,11 @@ impl TsxGate {
     ) -> Result<Vec<GateReading>> {
         self.begin(s, inputs)?;
         self.activate(s);
-        Ok(self.outs().iter().map(|&out| read_out(s, out)).collect())
+        Ok(self
+            .outs()
+            .iter()
+            .map(|&out| read_out(s, out, self.threshold))
+            .collect())
     }
 }
 
@@ -283,9 +295,9 @@ impl WeirdGate for TsxGate {
     /// is read right after.
     fn activate_read(&self, s: &mut dyn Substrate) -> GateReading {
         self.activate(s);
-        let first = read_out(s, self.outs[0]);
+        let first = read_out(s, self.outs[0], self.threshold);
         if let [_, or] = self.outs() {
-            read_out(s, *or);
+            read_out(s, *or, self.threshold);
         }
         first
     }
@@ -335,7 +347,14 @@ impl TsxXor {
             tx(GateKind::TxNot, &[d_and], &[d_not])?,
             tx(GateKind::TxAnd, &[d_or, d_not], &[out])?,
         ];
-        Ok(GateSpec::new(Self { txs }, units))
+        Ok(GateSpec::new(Self { txs }, units, out, Self::bind))
+    }
+
+    /// The circuit, decoding its output read against `threshold`.
+    pub(crate) fn bind(self, threshold: u64) -> Self {
+        Self {
+            txs: self.txs.map(|tx| tx.bind(threshold)),
+        }
     }
 
     /// Input register addresses.
@@ -380,7 +399,7 @@ impl WeirdGate for TsxXor {
 
     fn activate_read(&self, s: &mut dyn Substrate) -> GateReading {
         self.activate(s);
-        read_out(s, self.out())
+        read_out(s, self.out(), self.txs[2].threshold)
     }
 }
 
@@ -479,9 +498,10 @@ mod tests {
     }
 
     /// One spec, both execution models: on the microarchitectural model
-    /// the gate computes; on the flat model the post-fault window does not
-    /// exist, so the output read is hit-like regardless of input — the gate
-    /// degenerates. This asymmetry is the emulation-detection signal of §7.
+    /// the gate computes; on the flat model every read takes the same time,
+    /// so the threshold calibrated there reads every output as a miss
+    /// regardless of input — the gate degenerates. This asymmetry is the
+    /// emulation-detection signal of §7.
     #[test]
     fn same_spec_instantiates_on_both_backends() {
         let mut lay = Layout::new(crate::substrate::DEFAULT_ALIAS_STRIDE);
@@ -493,11 +513,16 @@ mod tests {
 
         let mut f = Machine::new(MachineConfig::flat(), 0);
         let g_flat = spec.instantiate(&mut f);
-        assert_eq!(g_sim, g_flat, "specs bind the same wiring everywhere");
-        for (a, b) in [(false, false), (false, true), (true, false)] {
+        let wiring = |g: &TsxGate| (g.entry_pc(), g.ins().to_vec(), g.outs().to_vec());
+        assert_eq!(
+            wiring(&g_sim),
+            wiring(&g_flat),
+            "specs bind the same wiring everywhere"
+        );
+        for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
             assert!(
-                g_flat.execute(&mut f, &[a, b]).unwrap(),
-                "flat model always reads hit-like: gate output degenerates to 1"
+                !g_flat.execute(&mut f, &[a, b]).unwrap(),
+                "flat model reads hit = miss: gate output degenerates to 0"
             );
         }
     }

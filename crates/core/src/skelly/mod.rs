@@ -22,14 +22,19 @@ use crate::layout::Layout;
 use crate::substrate::{Substrate, DEFAULT_ALIAS_STRIDE};
 use uwm_sim::machine::{Machine, MachineConfig};
 
+/// Timed misses and hits [`calibrate_threshold`] samples (odd, so each
+/// median is a real sample).
+const CALIBRATION_SAMPLES: usize = 33;
+
 /// Calibrates the hit/miss decision threshold on `s` by sampling timed
-/// misses and hits of a scratch line and returning the midpoint of the
-/// medians — the boundary visible in the paper's Figures 7–8.
-pub fn calibrate_threshold<S: Substrate + ?Sized>(s: &mut S, probe: u64, samples: usize) -> u64 {
-    assert!(samples > 0, "need at least one sample");
-    let mut misses = Vec::with_capacity(samples);
-    let mut hits = Vec::with_capacity(samples);
-    for _ in 0..samples {
+/// misses and hits of the line `probe` and returning the midpoint of the
+/// medians — the boundary visible in the paper's Figures 7–8. Every bound
+/// gate and circuit decodes its reads against the value this returns on
+/// its own backend.
+pub fn calibrate_threshold<S: Substrate + ?Sized>(s: &mut S, probe: u64) -> u64 {
+    let mut misses = Vec::with_capacity(CALIBRATION_SAMPLES);
+    let mut hits = Vec::with_capacity(CALIBRATION_SAMPLES);
+    for _ in 0..CALIBRATION_SAMPLES {
         s.flush_addr(probe);
         misses.push(s.timed_read_tsc(probe));
         hits.push(s.timed_read_tsc(probe));
@@ -66,6 +71,15 @@ impl Gates {
         }
         let xor = TsxXor::spec(lay)?.into_gate(units);
         Ok(Self { bp, tsx, xor })
+    }
+
+    /// Every gate, decoding its reads against `threshold`.
+    fn bind(&self, threshold: u64) -> Self {
+        Self {
+            bp: self.bp.iter().map(|g| g.bind(threshold)).collect(),
+            tsx: self.tsx.iter().map(|g| g.bind(threshold)).collect(),
+            xor: self.xor.bind(threshold),
+        }
     }
 
     /// The gate of `kind`.
@@ -141,8 +155,9 @@ impl SkellySpec {
     }
 
     /// Binds the spec to a freshly constructed machine: installs and warms
-    /// every gate program in build order, calibrates the timing threshold,
-    /// and returns the runnable framework.
+    /// every gate program in build order, calibrates the timing threshold
+    /// once, and returns the runnable framework, whose every gate decodes
+    /// against that threshold.
     pub fn instantiate(&self, cfg: MachineConfig, seed: u64) -> Skelly {
         let mut m = Machine::new(cfg, seed);
         debug_assert_eq!(
@@ -151,14 +166,14 @@ impl SkellySpec {
             "spec stride must match the machine's predictor"
         );
         install_units(&mut m, &self.units);
-        let threshold = calibrate_threshold(&mut m, self.probe, 33);
+        let threshold = calibrate_threshold(&mut m, self.probe);
         Skelly {
             m,
             lay: self.lay.clone(),
             threshold,
             red: Redundancy::default(),
             counters: CounterBank::new(),
-            gates: self.gates.clone(),
+            gates: self.gates.bind(threshold),
         }
     }
 }
@@ -230,7 +245,8 @@ impl Skelly {
         self.red
     }
 
-    /// The calibrated hit/miss threshold in cycles.
+    /// The calibrated hit/miss threshold in cycles, which every gate of
+    /// this instance decodes against.
     pub fn threshold(&self) -> u64 {
         self.threshold
     }

@@ -2,13 +2,13 @@
 //!
 //! Single weird-gate executions are 92–99.99 % accurate; a SHA-1 needs
 //! hundreds of thousands of them, so `skelly` executes each logical gate
-//! redundantly: `s` timed executions → median delay → one vote; `n` votes →
-//! k-threshold decision. The paper's SHA-1 runs used `s = 10, k = 3, n = 5`.
+//! redundantly: `s` timed executions → the bit of the median-delay reading
+//! → one vote; `n` votes → k-threshold decision. The paper's SHA-1 runs used `s = 10, k = 3, n = 5`.
 
 use std::collections::BTreeMap;
 
 use crate::error::Result;
-use crate::gate::{check_arity, WeirdGate, READ_THRESHOLD};
+use crate::gate::{check_arity, WeirdGate};
 use crate::substrate::Substrate;
 
 /// Redundancy parameters for voted gate execution.
@@ -23,7 +23,8 @@ use crate::substrate::Substrate;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Redundancy {
-    /// Timed executions per vote (`s`); the median delay becomes the vote.
+    /// Timed executions per vote (`s`); the bit of the median-delay
+    /// reading becomes the vote.
     pub samples: usize,
     /// Votes per logical gate execution (`n`).
     pub votes: usize,
@@ -104,9 +105,9 @@ impl Redundancy {
         };
         let counters = bank.entry(gate.name());
         let mut ones = 0usize;
-        let mut delays = Vec::with_capacity(self.samples);
+        let mut readings = Vec::with_capacity(self.samples);
         for _ in 0..self.votes {
-            delays.clear();
+            readings.clear();
             for _ in 0..self.samples {
                 let r = match &prepared {
                     Some(snap) => {
@@ -119,11 +120,12 @@ impl Redundancy {
                 if r.bit == expected {
                     counters.raw_correct += 1;
                 }
-                delays.push(r.delay);
+                readings.push(r);
             }
-            delays.sort_unstable();
-            let median = delays[delays.len() / 2];
-            let vote = median < READ_THRESHOLD;
+            // The gate decoded every reading against one threshold, so bits
+            // are monotone in delay: the median reading's bit is the vote.
+            readings.sort_unstable_by_key(|r| r.delay);
+            let vote = readings[readings.len() / 2].bit;
             counters.medians_total += 1;
             if vote == expected {
                 counters.medians_correct += 1;
