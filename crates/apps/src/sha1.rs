@@ -12,21 +12,22 @@
 //! composed `AND_AND_OR` gate.
 //!
 //! [`Sha1Batch`] streams many messages through pooled, pre-warmed machines
-//! (one per executor shard) using the warm-state snapshot/restore API, so
-//! the expensive build-and-calibrate sequence is paid once per shard
-//! instead of once per message.
+//! (one per executor shard) on `uwm-core`'s pooling engine
+//! ([`run_pooled`]), so the expensive build-and-calibrate sequence is paid
+//! once per shard instead of once per message.
 
-use uwm_core::exec::{batch_seed, ShardedExecutor};
+use uwm_core::batch::run_pooled;
+use uwm_core::exec::ShardedExecutor;
 use uwm_core::skelly::{Skelly, SkellySpec};
 use uwm_core::Result;
 use uwm_crypto::sha1::{Sha1, H0, K};
-use uwm_sim::machine::{Machine, MachineConfig};
+use uwm_sim::machine::MachineConfig;
 
 /// SHA-1 evaluator running on a [`Skelly`] weird machine.
 ///
 /// # Examples
 ///
-/// ```no_run
+/// ```
 /// use uwm_apps::UwmSha1;
 /// use uwm_core::skelly::Skelly;
 /// use uwm_crypto::sha1;
@@ -127,16 +128,17 @@ impl<'a> UwmSha1<'a> {
 /// installs, code warming, threshold calibration — costs far more than one
 /// compression, so hashing many messages on fresh machines wastes almost
 /// all of its time on setup. This runner builds **one warmed machine per
-/// executor shard**, snapshots it right after calibration, and streams
-/// messages through the pool: each item restores the snapshot and reseeds
-/// the noise generator with `batch_seed(seed, item)`, so every digest is
-/// bit-identical to hashing that message on a machine freshly instantiated
-/// and reseeded the same way — independent of shard count or the order in
-/// which workers steal items.
+/// executor shard** with [`run_pooled`], which snapshots it right after
+/// calibration, and streams messages through the pool: each item restores
+/// the snapshot and reseeds the noise generator with
+/// [`batch_seed`](uwm_core::exec::batch_seed)`(seed, item)`, so every
+/// digest is bit-identical to hashing that message on a machine freshly
+/// instantiated and reseeded the same way — independent of shard count or
+/// the order in which workers steal items.
 ///
 /// # Examples
 ///
-/// ```no_run
+/// ```
 /// use uwm_apps::sha1::Sha1Batch;
 /// use uwm_core::exec::ShardedExecutor;
 /// use uwm_sim::machine::MachineConfig;
@@ -151,13 +153,6 @@ pub struct Sha1Batch {
     cfg: MachineConfig,
     exec: ShardedExecutor,
     seed: u64,
-}
-
-/// Per-shard state: a warmed framework plus the post-calibration snapshot
-/// every item rewinds to.
-struct ShardPool {
-    sk: Skelly,
-    snap: Box<Machine>,
 }
 
 impl Sha1Batch {
@@ -176,51 +171,29 @@ impl Sha1Batch {
         })
     }
 
-    /// The base seed items derive their per-item noise seeds from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The executor the batch fans out on.
-    pub fn executor(&self) -> &ShardedExecutor {
-        &self.exec
-    }
-
-    fn pool(&self) -> ShardPool {
-        let sk = self.spec.instantiate(self.cfg.clone(), self.seed);
-        let snap = sk.machine().snapshot();
-        ShardPool { sk, snap }
-    }
-
-    fn rewind(&self, pool: &mut ShardPool, item: usize) {
-        let m = pool.sk.machine_mut();
-        m.restore_from(&pool.snap);
-        m.reseed_noise(batch_seed(self.seed, item));
-    }
-
     /// Hashes every message on the pooled machines; digests come back in
     /// message order.
     pub fn hash_many(&self, messages: &[&[u8]]) -> Vec<[u8; 20]> {
-        self.exec.run_with(
+        run_pooled(
+            &self.exec,
             messages.len(),
-            || self.pool(),
-            |i, pool| {
-                self.rewind(pool, i);
-                UwmSha1::new(&mut pool.sk).hash(messages[i])
-            },
+            self.seed,
+            || self.spec.instantiate(self.cfg.clone(), self.seed),
+            Skelly::machine_mut,
+            |i, sk| UwmSha1::new(sk).hash(messages[i]),
         )
     }
 
     /// One compression per block from [`H0`] — the unit of work the
     /// `sha1_block` benchmark measures.
     pub fn compress_many(&self, blocks: &[[u8; 64]]) -> Vec<[u32; 5]> {
-        self.exec.run_with(
+        run_pooled(
+            &self.exec,
             blocks.len(),
-            || self.pool(),
-            |i, pool| {
-                self.rewind(pool, i);
-                UwmSha1::new(&mut pool.sk).compress(H0, &blocks[i])
-            },
+            self.seed,
+            || self.spec.instantiate(self.cfg.clone(), self.seed),
+            Skelly::machine_mut,
+            |i, sk| UwmSha1::new(sk).compress(H0, &blocks[i]),
         )
     }
 }

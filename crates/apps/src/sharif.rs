@@ -21,7 +21,7 @@ use crate::sha1::UwmSha1;
 ///
 /// # Examples
 ///
-/// ```no_run
+/// ```
 /// use uwm_apps::sharif::SharifGuard;
 /// use uwm_core::skelly::Skelly;
 ///

@@ -147,7 +147,7 @@ pub struct PingReport {
 ///
 /// # Examples
 ///
-/// ```no_run
+/// ```
 /// use uwm_apps::{Payload, WmApt};
 ///
 /// let (mut apt, trigger) = WmApt::new(7, Payload::ReverseShell).unwrap();

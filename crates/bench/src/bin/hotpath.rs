@@ -37,7 +37,7 @@ use uwm_apps::{Sha1Batch, UwmSha1};
 use uwm_bench::harness::{bench_against, Paired};
 use uwm_bench::json::Json;
 use uwm_bench::{gate_performance_sharded, maybe_write_json, parse_args, scaled};
-use uwm_core::batch::BatchRunner;
+use uwm_core::batch::{run_pooled, BatchRunner};
 use uwm_core::circuit::{adder32_inputs, adder32_spec, CircuitSpec};
 use uwm_core::exec::{batch_seed, ShardedExecutor};
 use uwm_core::gate::GateKind;
@@ -251,20 +251,27 @@ fn adder32_batch_workload(
         .collect();
     let factory = || Machine::new(MachineConfig::default(), seed);
 
-    // Counted pass: replicate the pooled inner loop on one machine and
-    // read the committed-instruction delta per item off the snapshot
-    // (restore rewinds the stats, so each delta is one item's cost).
-    let mut m = Machine::new(MachineConfig::default(), seed);
-    let c = plan.instantiate(&mut m);
-    let snap = m.snapshot();
-    let mut insts = 0u64;
+    // Counted pass: the pooled loop on one shard; an item's cost is the
+    // committed-instruction delta around its run.
     let counted = inputs.len().min(8);
-    for (i, inp) in inputs.iter().take(counted).enumerate() {
-        m.restore_from(&snap);
-        m.reseed_noise(batch_seed(seed, i));
-        c.run(&mut m, inp).expect("arity matches");
-        insts += m.stats().committed_insts - snap.stats().committed_insts;
-    }
+    let insts: u64 = run_pooled(
+        &ShardedExecutor::new(1),
+        counted,
+        seed,
+        || {
+            let mut m = factory();
+            let c = plan.instantiate(&mut m);
+            (m, c)
+        },
+        |(m, _)| m,
+        |i, (m, c)| {
+            let before = m.stats().committed_insts;
+            c.run(m, &inputs[i]).expect("arity matches");
+            m.stats().committed_insts - before
+        },
+    )
+    .into_iter()
+    .sum();
     let insts_per_op = insts as f64 / counted as f64;
 
     // Timed pass: the whole stream is one measured unit.

@@ -1,22 +1,20 @@
-//! Batch circuit-evaluation engine: pooled per-shard machines streaming
-//! input vectors through a compiled [`CircuitPlan`].
+//! The pooling engine, and the batch circuit evaluator built on it.
 //!
-//! Evaluating a weird circuit for one input vector is cheap next to the
-//! cost of *standing a machine up*: constructing the backend, installing
-//! and predecoding the gate programs, warming code ranges, and calibrating
-//! the read threshold. The serial idiom — a fresh backend per item, so
-//! every item is a pure function of its seed — pays that setup for every
-//! input vector.
+//! Evaluating a weird circuit or hashing one SHA-1 block is cheap next to
+//! the cost of *standing a machine up*: constructing the backend,
+//! installing and predecoding the gate programs, warming code ranges, and
+//! calibrating the read threshold. The serial idiom — a fresh backend per
+//! item, so every item is a pure function of its seed — pays that setup
+//! for every item.
 //!
-//! The [`BatchRunner`] keeps the purity but pays setup once per shard:
+//! [`run_pooled`] keeps the purity but pays setup once per shard:
 //!
-//! 1. each shard builds one backend, binds the plan to it
-//!    ([`CircuitPlan::instantiate`] — one predecode pass, warm, calibrate),
-//!    and takes a [`Substrate::snapshot`] of the warmed state;
+//! 1. each shard builds one warmed state (a backend with a bound circuit,
+//!    a skelly, …) and takes a [`Substrate::snapshot`] of its backend;
 //! 2. for every item the shard restores the snapshot (the cache sets the
 //!    previous item wrote and every resident page, overwritten in place;
 //!    the program image is shared, not copied), reseeds the backend's
-//!    randomness with [`batch_seed`]`(seed, item)`, and runs the circuit.
+//!    randomness with [`batch_seed`]`(seed, item)`, and runs the item.
 //!
 //! Because the restore is *full* — clock, RNG, statistics and trace
 //! included — every item starts from bit-identical machine state and a
@@ -24,13 +22,60 @@
 //! item `i` are therefore independent of shard count, scheduling order,
 //! and which items ran before it, and identical to the serial path's
 //! (fresh backend, instantiate, reseed, run). Golden tests in
-//! `tests/batch_equiv.rs` enforce that equivalence on both execution models.
+//! `tests/batch_equiv.rs` enforce that equivalence on both execution
+//! models for the [`BatchRunner`], which streams input vectors through a
+//! compiled [`CircuitPlan`]; `uwm-apps`' `Sha1Batch` is the other caller.
 
-use crate::circuit::{Circuit, CircuitPlan};
+use crate::circuit::CircuitPlan;
 use crate::error::{CoreError, Result};
 use crate::exec::{batch_seed, ShardedExecutor};
 use crate::gate::GateReading;
 use crate::substrate::Substrate;
+
+/// Runs `work` for every item in `0..items` on pooled per-shard states,
+/// returning the results in item order. This is the one place that pools.
+///
+/// Each shard builds its state once with `warm` and snapshots the
+/// substrate `backend` picks out of it. Before item `i` it restores that
+/// snapshot and reseeds the substrate with [`batch_seed`]`(seed, i)`, then
+/// calls `work(i, state)`.
+///
+/// The contract: item `i`'s observables equal those of a freshly warmed
+/// state whose substrate is reseeded with `batch_seed(seed, i)`, at any
+/// shard count — provided `warm` is deterministic. Only the substrate is
+/// rewound; anything else in the state carries over from item to item
+/// (for example a skelly's `CounterBank`), so `work` must not let such
+/// state reach its result.
+pub fn run_pooled<S, B, R, W, A, F>(
+    exec: &ShardedExecutor,
+    items: usize,
+    seed: u64,
+    warm: W,
+    backend: A,
+    work: F,
+) -> Vec<R>
+where
+    B: Substrate + ?Sized,
+    R: Send,
+    W: Fn() -> S + Sync,
+    A: Fn(&mut S) -> &mut B + Sync,
+    F: Fn(usize, &mut S) -> R + Sync,
+{
+    exec.run_with(
+        items,
+        || {
+            let mut state = warm();
+            let snap = backend(&mut state).snapshot();
+            (state, snap)
+        },
+        |i, (state, snap)| {
+            let b = backend(state);
+            b.restore(snap);
+            b.reseed(batch_seed(seed, i));
+            work(i, state)
+        },
+    )
+}
 
 /// Everything observable about one batch item's evaluation — the
 /// equivalence surface the golden tests compare against the serial path.
@@ -51,7 +96,7 @@ impl BatchObservation {
     }
 }
 
-/// Streams input vectors through a circuit on pooled per-shard machines.
+/// Streams input vectors through a circuit on [`run_pooled`] shards.
 ///
 /// # Examples
 ///
@@ -82,61 +127,10 @@ pub struct BatchRunner {
     seed: u64,
 }
 
-/// Per-shard pooled state: the warmed backend, the bound circuit, and the
-/// snapshot every item restores from.
-struct ShardPool<B: Substrate> {
-    backend: B,
-    circuit: Circuit,
-    snapshot: crate::substrate::SubstrateSnapshot,
-}
-
 impl BatchRunner {
     /// A runner evaluating `plan` with per-item seeds derived from `seed`.
     pub fn new(plan: CircuitPlan, exec: ShardedExecutor, seed: u64) -> Self {
         Self { plan, exec, seed }
-    }
-
-    /// The compiled plan being evaluated.
-    pub fn plan(&self) -> &CircuitPlan {
-        &self.plan
-    }
-
-    /// The base seed item seeds derive from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Total gate evaluations for a batch of `items` inputs.
-    pub fn gate_evals(&self, items: usize) -> u64 {
-        self.plan.gate_count() as u64 * items as u64
-    }
-
-    fn check_arity(&self, inputs: &[Vec<bool>]) -> Result<()> {
-        for item in inputs {
-            if item.len() != self.input_count() {
-                return Err(CoreError::Arity {
-                    gate: "batch circuit",
-                    expected: self.input_count(),
-                    got: item.len(),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    fn input_count(&self) -> usize {
-        self.plan.input_count()
-    }
-
-    fn pool<B: Substrate>(&self, factory: &(impl Fn() -> B + Sync)) -> ShardPool<B> {
-        let mut backend = factory();
-        let circuit = self.plan.instantiate(&mut backend);
-        let snapshot = backend.snapshot();
-        ShardPool {
-            backend,
-            circuit,
-            snapshot,
-        }
     }
 
     /// Evaluates every input vector and returns the decoded output bits,
@@ -174,72 +168,34 @@ impl BatchRunner {
         B: Substrate,
         F: Fn() -> B + Sync,
     {
-        self.check_arity(inputs)?;
-        let results = self.exec.run_with(
+        let expected = self.plan.input_count();
+        if let Some(item) = inputs.iter().find(|item| item.len() != expected) {
+            return Err(CoreError::Arity {
+                gate: "batch circuit",
+                expected,
+                got: item.len(),
+            });
+        }
+        Ok(run_pooled(
+            &self.exec,
             inputs.len(),
-            || self.pool(&factory),
-            |i, pool: &mut ShardPool<B>| {
-                pool.backend.restore(&pool.snapshot);
-                pool.backend.reseed(batch_seed(self.seed, i));
-                let readings = pool
-                    .circuit
-                    .run_timed(&mut pool.backend, &inputs[i])
+            self.seed,
+            || {
+                let mut backend = factory();
+                let circuit = self.plan.instantiate(&mut backend);
+                (backend, circuit)
+            },
+            |(backend, _)| backend,
+            |i, (backend, circuit)| {
+                let readings = circuit
+                    .run_timed(backend, &inputs[i])
                     .expect("arity validated before dispatch");
                 BatchObservation {
                     readings,
-                    cycles: pool.backend.cycles(),
+                    cycles: backend.cycles(),
                 }
             },
-        );
-        Ok(results)
-    }
-
-    /// Batched redundancy: evaluates every input vector `trials` times —
-    /// each trial restoring the shard's snapshot and reseeding with a seed
-    /// derived from `(item, trial)` — and majority-votes each output bit.
-    /// The `trials × items` executions all reuse the pooled warm state;
-    /// nothing is re-instantiated.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Arity`] if any input vector's length differs
-    /// from the circuit's declared inputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trials` is zero.
-    pub fn run_voted<B, F>(
-        &self,
-        factory: F,
-        inputs: &[Vec<bool>],
-        trials: usize,
-    ) -> Result<Vec<Vec<bool>>>
-    where
-        B: Substrate,
-        F: Fn() -> B + Sync,
-    {
-        assert!(trials > 0, "voting needs at least one trial");
-        self.check_arity(inputs)?;
-        let results = self.exec.run_with(
-            inputs.len(),
-            || self.pool(&factory),
-            |i, pool: &mut ShardPool<B>| {
-                let mut ones = vec![0usize; self.plan.output_count()];
-                for t in 0..trials {
-                    pool.backend.restore(&pool.snapshot);
-                    pool.backend.reseed(batch_seed(batch_seed(self.seed, i), t));
-                    let readings = pool
-                        .circuit
-                        .run_timed(&mut pool.backend, &inputs[i])
-                        .expect("arity validated before dispatch");
-                    for (n, r) in ones.iter_mut().zip(&readings) {
-                        *n += usize::from(r.bit);
-                    }
-                }
-                ones.into_iter().map(|n| 2 * n > trials).collect()
-            },
-        );
-        Ok(results)
+        ))
     }
 }
 
@@ -284,19 +240,6 @@ mod tests {
                 .unwrap();
             assert_eq!(got, base, "{shards} shards");
         }
-    }
-
-    #[test]
-    fn voted_run_agrees_with_plain_run_on_quiet_machine() {
-        let runner = BatchRunner::new(xor_plan(), ShardedExecutor::new(2), 3);
-        let inputs: Vec<Vec<bool>> = (0..4).map(|i| vec![i & 1 == 1, i & 2 == 2]).collect();
-        let plain = runner
-            .run(|| Machine::new(MachineConfig::quiet(), 3), &inputs)
-            .unwrap();
-        let voted = runner
-            .run_voted(|| Machine::new(MachineConfig::quiet(), 3), &inputs, 3)
-            .unwrap();
-        assert_eq!(plain, voted);
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! work is hermetic — no shared machine state between units. This module
 //! provides the scheduling half of that bargain:
 //!
-//! * the **caller** makes each batch hermetic by constructing a fresh
-//!   backend (machine / skelly / circuit instance) inside the batch
-//!   closure, seeded from [`batch_seed`];
+//! * the **caller** makes each batch hermetic in one of two ways: by
+//!   constructing a fresh backend (machine / skelly / circuit instance)
+//!   inside the batch closure, seeded from [`batch_seed`]; or by pooling
+//!   one warmed state per shard and rewinding its substrate before every
+//!   item, which [`crate::batch::run_pooled`] does;
 //! * the [`ShardedExecutor`] fans the batch indices across N shards
 //!   (worker threads) with work-stealing, and returns the results **in
 //!   batch order** — so the merged output is a pure function of
@@ -89,13 +91,16 @@ impl ShardedExecutor {
 
     /// Like [`ShardedExecutor::run`], but each worker thread carries a
     /// scratch value built once by `init` and passed to every batch it
-    /// runs — reusable buffers (input vectors, delay accumulators) survive
-    /// across a shard's batches instead of being reallocated per batch.
+    /// runs. The scratch is either reusable buffers (input vectors, delay
+    /// accumulators) that survive across a shard's batches instead of
+    /// being reallocated per batch, or pooled state: a warmed machine and
+    /// its snapshot, rewound before every batch by
+    /// [`crate::batch::run_pooled`].
     ///
     /// The determinism contract is unchanged *provided the scratch is
     /// state-free between batches*: `work` must produce the same result
     /// for a given batch index whether its scratch is fresh or reused
-    /// (clearing, not trusting, any carried contents).
+    /// (clearing or rewinding, not trusting, any carried contents).
     pub fn run_with<S, R, F, G>(&self, batches: usize, init: G, work: F) -> Vec<R>
     where
         R: Send,

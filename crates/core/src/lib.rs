@@ -20,10 +20,11 @@
 //!   emulation detector;
 //! * [`exec`] — a sharded executor that fans deterministic trial batches
 //!   across OS threads and merges results in batch order;
-//! * [`batch`] — the batch circuit-evaluation engine: compiled
-//!   [`circuit::CircuitPlan`]s bound once per shard, with warm-state
-//!   snapshot/restore streaming thousands of input vectors per pooled
-//!   machine.
+//! * [`batch`] — the pooling engine ([`batch::run_pooled`]: one warmed
+//!   state per shard, its substrate restored and reseeded before every
+//!   item) and the batch circuit evaluator on it, which binds compiled
+//!   [`circuit::CircuitPlan`]s once per shard and streams thousands of
+//!   input vectors per pooled machine.
 //!
 //! ## Quick start
 //!
