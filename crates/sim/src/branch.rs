@@ -2,25 +2,14 @@
 //!
 //! The BP-WR of the paper (§3.2.1, Table 1) stores a bit in the direction
 //! predictor's per-branch state: trained-taken vs. trained-not-taken. The
-//! predictor here is a table of 2-bit saturating counters indexed by the
-//! instruction address (optionally hashed with global history, gshare-style),
-//! which is what makes *aliased training branches* possible — the mechanism
-//! `skelly` uses to train a gate's branch without executing its body.
+//! predictor here is a bimodal table of 2-bit saturating counters indexed
+//! by the instruction address alone, which is what makes *aliased training
+//! branches* possible — the mechanism `skelly` uses to train a gate's
+//! branch without executing its body. A history-hashed index (gshare)
+//! would break that: the gate branch and its training branch, one
+//! [`DirectionPredictor::alias_stride`] apart, would stop sharing a counter.
 
 use crate::isa::INST_SIZE;
-
-/// Prediction scheme used by [`DirectionPredictor`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PredictorKind {
-    /// PC-indexed table of 2-bit counters.
-    #[default]
-    Bimodal,
-    /// PC ⊕ global-history indexed table of 2-bit counters.
-    Gshare {
-        /// Number of global history bits folded into the index.
-        history_bits: u32,
-    },
-}
 
 /// A table of 2-bit saturating counters predicting branch direction.
 ///
@@ -40,20 +29,14 @@ pub enum PredictorKind {
 /// ```
 #[derive(Debug, PartialEq, Eq)]
 pub struct DirectionPredictor {
-    kind: PredictorKind,
     table: Vec<u8>,
-    history: u64,
 }
 
-clone_by_field!(DirectionPredictor {
-    kind,
-    table,
-    history
-});
+clone_by_field!(DirectionPredictor { table });
 
 impl Default for DirectionPredictor {
     fn default() -> Self {
-        Self::new(PredictorKind::Bimodal, 1024)
+        Self::new(1024)
     }
 }
 
@@ -63,21 +46,14 @@ impl DirectionPredictor {
     /// # Panics
     ///
     /// Panics if `entries` is not a power of two.
-    pub fn new(kind: PredictorKind, entries: usize) -> Self {
+    pub fn new(entries: usize) -> Self {
         assert!(
             entries.is_power_of_two(),
             "predictor entries must be a power of two"
         );
         Self {
-            kind,
             table: vec![1; entries],
-            history: 0,
         }
-    }
-
-    /// Number of counter entries.
-    pub fn entries(&self) -> usize {
-        self.table.len()
     }
 
     /// Index of the counter used for a branch at `pc`. Exposed so callers
@@ -85,17 +61,11 @@ impl DirectionPredictor {
     /// addresses with equal `slot_of` share predictor state.
     pub fn slot_of(&self, pc: u64) -> usize {
         let pc_index = (pc / INST_SIZE) as usize;
-        let hist = match self.kind {
-            PredictorKind::Bimodal => 0,
-            PredictorKind::Gshare { history_bits } => {
-                (self.history & ((1u64 << history_bits) - 1)) as usize
-            }
-        };
-        (pc_index ^ hist) & (self.table.len() - 1)
+        pc_index & (self.table.len() - 1)
     }
 
     /// The stride (in bytes) between two branch addresses that alias to the
-    /// same bimodal slot.
+    /// same counter.
     pub fn alias_stride(&self) -> u64 {
         self.table.len() as u64 * INST_SIZE
     }
@@ -106,7 +76,7 @@ impl DirectionPredictor {
     }
 
     /// Trains the predictor with the resolved direction of the branch at
-    /// `pc`, and shifts the global history.
+    /// `pc`.
     pub fn update(&mut self, pc: u64, taken: bool) {
         let slot = self.slot_of(pc);
         let c = &mut self.table[slot];
@@ -115,19 +85,11 @@ impl DirectionPredictor {
         } else {
             *c = c.saturating_sub(1);
         }
-        self.history = (self.history << 1) | taken as u64;
     }
 
-    /// Raw counter value for a branch (ground truth of a BP-WR; analyzer /
-    /// test use only).
-    pub fn counter(&self, pc: u64) -> u8 {
-        self.table[self.slot_of(pc)]
-    }
-
-    /// Resets every counter to weakly-not-taken and clears history.
+    /// Resets every counter to weakly-not-taken.
     pub fn reset(&mut self) {
         self.table.fill(1);
-        self.history = 0;
     }
 }
 
@@ -237,16 +199,6 @@ mod tests {
             bp.update(train_branch, true);
         }
         assert!(bp.predict(gate_branch), "aliased training must transfer");
-    }
-
-    #[test]
-    fn gshare_differs_by_history() {
-        let mut bp = DirectionPredictor::new(PredictorKind::Gshare { history_bits: 4 }, 1024);
-        let pc = 0x400;
-        let s0 = bp.slot_of(pc);
-        bp.update(0x10, true); // shift history
-        let s1 = bp.slot_of(pc);
-        assert_ne!(s0, s1, "gshare index must depend on history");
     }
 
     #[test]

@@ -3,6 +3,11 @@
 //! Caches store *line tags only* — data always lives in [`crate::memory`];
 //! the cache's job in a μWM is purely to modulate latency, which is exactly
 //! how the paper's DC-WR and IC-WR treat it (§3.1).
+//!
+//! The machine's hierarchy uses the three fixed geometries
+//! [`CacheConfig::l1`], [`CacheConfig::l2`] and [`CacheConfig::l3`]; a
+//! standalone `Cache` takes any valid geometry. Replacement (LRU or
+//! tree-PLRU) is a deterministic function of the access stream.
 
 use crate::replacement::{Policy, SetState};
 
@@ -100,7 +105,7 @@ pub(crate) enum RestoreScope {
 ///
 /// ```
 /// use uwm_sim::cache::{Cache, CacheConfig};
-/// let mut c = Cache::new(CacheConfig::l1(), 0);
+/// let mut c = Cache::new(CacheConfig::l1());
 /// assert!(!c.access(0x1000));          // cold miss
 /// assert!(c.access(0x1000));           // now a hit
 /// c.invalidate(0x1000);
@@ -154,13 +159,13 @@ thread_local! {
 const INVALID_TAG: u64 = u64::MAX;
 
 impl Cache {
-    /// Creates an empty cache. `seed` only matters for [`Policy::Random`].
+    /// Creates an empty cache.
     ///
     /// # Panics
     ///
     /// Panics if `sets` is not a power of two, or if `ways` is not a power
     /// of two under [`Policy::TreePlru`].
-    pub fn new(cfg: CacheConfig, seed: u64) -> Self {
+    pub fn new(cfg: CacheConfig) -> Self {
         assert!(cfg.sets.is_power_of_two(), "sets must be a power of two");
         if cfg.policy == Policy::TreePlru {
             assert!(
@@ -171,15 +176,7 @@ impl Cache {
         assert!(cfg.ways >= 1, "cache needs at least one way");
         Self {
             tags: vec![INVALID_TAG; cfg.ways * cfg.sets].into_boxed_slice(),
-            repl: (0..cfg.sets)
-                .map(|s| {
-                    SetState::new(
-                        cfg.policy,
-                        cfg.ways,
-                        seed ^ (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    )
-                })
-                .collect(),
+            repl: vec![SetState::new(cfg.policy, cfg.ways); cfg.sets],
             dirty_bits: vec![0; cfg.sets.div_ceil(64)].into_boxed_slice(),
             cfg,
             hits: 0,
@@ -188,11 +185,6 @@ impl Cache {
             base: Vec::new(),
             last: INVALID_TAG,
         }
-    }
-
-    /// The cache's configuration.
-    pub fn config(&self) -> &CacheConfig {
-        &self.cfg
     }
 
     #[inline]
@@ -208,35 +200,31 @@ impl Cache {
     }
 
     /// Accesses the line containing `addr`: returns `true` on hit. On miss
-    /// the line is filled, possibly evicting a victim (returned by
-    /// [`Cache::access_evicting`]). Updates replacement and hit statistics.
+    /// the line is filled, evicting the replacement policy's victim if the
+    /// set is full. Updates replacement and hit statistics.
     pub fn access(&mut self, addr: u64) -> bool {
-        self.access_evicting(addr).0
-    }
-
-    /// Like [`Cache::access`] but also reports the evicted line, if any.
-    pub fn access_evicting(&mut self, addr: u64) -> (bool, Option<u64>) {
         let line = line_of(addr);
         if line == self.last {
             debug_assert!(self.memo_holds(line), "stale same-line memo");
             self.hits += 1;
-            return (true, None);
+            return true;
         }
         #[cfg(test)]
         SET_WALKS.with(|c| c.set(c.get() + 1));
         let set = self.set_of(line);
         let ways = &self.tags[self.set_range(line)];
-        let result = if let Some(way) = ways.iter().position(|&t| t == line) {
+        let hit = if let Some(way) = ways.iter().position(|&t| t == line) {
             self.repl[set].touch(way, self.cfg.ways);
             self.mark(set);
             self.hits += 1;
-            (true, None)
+            true
         } else {
             self.misses += 1;
-            (false, self.fill_line(line))
+            self.fill_line(line);
+            false
         };
         self.last = line;
-        result
+        hit
     }
 
     /// The memo's invariant for `line`: resident, touching its way leaves
@@ -254,23 +242,19 @@ impl Cache {
         state == self.repl[set] && self.dirty_bits[set / 64] & (1 << (set % 64)) != 0
     }
 
-    fn fill_line(&mut self, line: u64) -> Option<u64> {
+    fn fill_line(&mut self, line: u64) {
         let set = self.set_of(line);
         let range = self.set_range(line);
-        let (way, evicted) = match self.tags[range.clone()]
+        let way = match self.tags[range.clone()]
             .iter()
             .position(|&t| t == INVALID_TAG)
         {
-            Some(empty) => (empty, None),
-            None => {
-                let victim = self.repl[set].victim(self.cfg.ways);
-                (victim, Some(self.tags[range.start + victim]))
-            }
+            Some(empty) => empty,
+            None => self.repl[set].victim(self.cfg.ways),
         };
         self.tags[range.start + way] = line;
         self.repl[set].touch(way, self.cfg.ways);
         self.mark(set);
-        evicted
     }
 
     /// Lists `set` as written since the anchor (once).
@@ -313,11 +297,11 @@ impl Cache {
     }
 
     /// Makes this cache's contents and counters equal `snap`'s, copying
-    /// the sets `scope` names, and adopts `snap`'s dirty list. A geometry
-    /// mismatch forces a full copy.
+    /// the sets `scope` names, and adopts `snap`'s dirty list. Both caches
+    /// must have the same geometry.
     pub(crate) fn restore_from(&mut self, snap: &Cache, scope: RestoreScope) {
-        if scope == RestoreScope::Full || self.cfg != snap.cfg {
-            self.cfg = snap.cfg;
+        debug_assert_eq!(self.cfg, snap.cfg, "restore across geometries");
+        if scope == RestoreScope::Full {
             self.tags.clone_from(&snap.tags);
             self.repl.clone_from(&snap.repl);
             self.dirty_bits.clone_from(&snap.dirty_bits);
@@ -403,14 +387,11 @@ mod tests {
 
     fn tiny() -> Cache {
         // 2 sets x 2 ways, LRU: easy to reason about evictions.
-        Cache::new(
-            CacheConfig {
-                sets: 2,
-                ways: 2,
-                policy: Policy::Lru,
-            },
-            0,
-        )
+        Cache::new(CacheConfig {
+            sets: 2,
+            ways: 2,
+            policy: Policy::Lru,
+        })
     }
 
     #[test]
@@ -435,11 +416,9 @@ mod tests {
         c.access(0);
         c.access(2 * 64);
         c.access(0); // line 0 is now MRU
-        let (hit, evicted) = c.access_evicting(4 * 64);
-        assert!(!hit);
-        assert_eq!(evicted, Some(2), "LRU victim should be line 2");
+        assert!(!c.access(4 * 64));
         assert!(c.contains(0));
-        assert!(!c.contains(2 * 64));
+        assert!(!c.contains(2 * 64), "LRU victim should be line 2");
     }
 
     #[test]
@@ -490,8 +469,9 @@ mod tests {
         for _ in 0..10 {
             assert!(c.contains(0));
         }
-        let (_, evicted) = c.access_evicting(4 * 64);
-        assert_eq!(evicted, Some(0), "probe must not have touched LRU state");
+        c.access(4 * 64);
+        assert!(!c.contains(0), "probe must not have touched LRU state");
+        assert!(c.contains(2 * 64));
     }
 
     /// Drives a cache and a twin that forgets its memo before every
@@ -504,7 +484,7 @@ mod tests {
         use uwm_rng::{Rng, SeedableRng};
 
         let mut rng = StdRng::seed_from_u64(cfg.sets as u64 ^ (cfg.ways as u64) << 20);
-        let mut memo = Cache::new(cfg, 9);
+        let mut memo = Cache::new(cfg);
         let mut twin = memo.clone();
         // The machine's snapshot bookkeeping in miniature: snapshot ids,
         // the anchor a snapshot was taken on, and the caches' anchor.
@@ -528,8 +508,8 @@ mod tests {
                 0..=6 => {
                     let addr = line * LINE_SIZE + rng.gen_range(0..LINE_SIZE);
                     twin.forget_last();
-                    let got = memo.access_evicting(addr);
-                    assert_eq!(got, twin.access_evicting(addr), "{what}: access");
+                    let got = memo.access(addr);
+                    assert_eq!(got, twin.access(addr), "{what}: access");
                     prev = line;
                 }
                 7 => {
@@ -572,7 +552,7 @@ mod tests {
 
     #[test]
     fn memo_is_exact_under_every_policy_and_geometry() {
-        for policy in [Policy::Lru, Policy::TreePlru, Policy::Random] {
+        for policy in [Policy::Lru, Policy::TreePlru] {
             for (sets, ways) in [(2, 2), (64, 8), (4096, 16)] {
                 memo_matches_walking_twin(CacheConfig { sets, ways, policy }, 3_000);
             }
@@ -588,13 +568,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "power of two")]
     fn bad_geometry_panics() {
-        let _ = Cache::new(
-            CacheConfig {
-                sets: 3,
-                ways: 2,
-                policy: Policy::Lru,
-            },
-            0,
-        );
+        let _ = Cache::new(CacheConfig {
+            sets: 3,
+            ways: 2,
+            policy: Policy::Lru,
+        });
     }
 }

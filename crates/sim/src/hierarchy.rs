@@ -1,12 +1,13 @@
-//! The inclusive L1I/L1D/L2/L3 cache hierarchy.
+//! The L1I/L1D/L2/L3 cache hierarchy, in one fixed geometry.
 //!
 //! The hierarchy answers one question for the machine: *at which level does
 //! this access hit?* — because in a μWM the only output of the memory system
-//! that matters is latency. Inclusivity is modelled because the paper's
-//! `clflush` semantics (evict from *every* level) and cross-level
-//! entanglement depend on it.
+//! that matters is latency. A miss fills every level on its path, and
+//! `clflush` evicts the line from every level, as the paper's flush-based
+//! weird registers need. A line evicted from L2 or L3 is not
+//! back-invalidated from L1, so the hierarchy is not strictly inclusive.
 
-use crate::cache::{line_of, Cache, CacheConfig, RestoreScope};
+use crate::cache::{Cache, CacheConfig, RestoreScope};
 
 /// Where an access was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -21,37 +22,15 @@ pub enum HitLevel {
     Mem,
 }
 
-/// Configuration for a [`Hierarchy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HierarchyConfig {
-    /// L1 instruction cache geometry.
-    pub l1i: CacheConfig,
-    /// L1 data cache geometry.
-    pub l1d: CacheConfig,
-    /// Unified L2 geometry.
-    pub l2: CacheConfig,
-    /// Shared L3 geometry.
-    pub l3: CacheConfig,
-}
-
-impl Default for HierarchyConfig {
-    fn default() -> Self {
-        Self {
-            l1i: CacheConfig::l1(),
-            l1d: CacheConfig::l1(),
-            l2: CacheConfig::l2(),
-            l3: CacheConfig::l3(),
-        }
-    }
-}
-
-/// An inclusive three-level cache hierarchy with split L1.
+/// A three-level cache hierarchy with split L1: [`CacheConfig::l1`] for
+/// each L1, then [`CacheConfig::l2`] and [`CacheConfig::l3`]. Fills
+/// propagate down the access path; evictions are not back-invalidated.
 ///
 /// # Examples
 ///
 /// ```
-/// use uwm_sim::hierarchy::{Hierarchy, HierarchyConfig, HitLevel};
-/// let mut h = Hierarchy::new(HierarchyConfig::default(), 0);
+/// use uwm_sim::hierarchy::{Hierarchy, HitLevel};
+/// let mut h = Hierarchy::new();
 /// assert_eq!(h.access_data(0x1000), HitLevel::Mem);
 /// assert_eq!(h.access_data(0x1000), HitLevel::L1);
 /// h.flush(0x1000);
@@ -65,14 +44,20 @@ pub struct Hierarchy {
     l3: Cache,
 }
 
+impl Default for Hierarchy {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Hierarchy {
     /// Creates an empty hierarchy.
-    pub fn new(cfg: HierarchyConfig, seed: u64) -> Self {
+    pub fn new() -> Self {
         Self {
-            l1i: Cache::new(cfg.l1i, seed ^ 0x11),
-            l1d: Cache::new(cfg.l1d, seed ^ 0x1D),
-            l2: Cache::new(cfg.l2, seed ^ 0x22),
-            l3: Cache::new(cfg.l3, seed ^ 0x33),
+            l1i: Cache::new(CacheConfig::l1()),
+            l1d: Cache::new(CacheConfig::l1()),
+            l2: Cache::new(CacheConfig::l2()),
+            l3: Cache::new(CacheConfig::l3()),
         }
     }
 
@@ -99,8 +84,8 @@ impl Hierarchy {
         if self.l2.access(addr) {
             return HitLevel::L2;
         }
-        // The L2/L3 `access` calls above already filled the line on miss;
-        // inclusivity holds because every fill propagates down the path.
+        // Each missing level's `access` has filled the line, so a miss
+        // leaves it resident at every level on the path.
         if self.l3.access(addr) {
             return HitLevel::L3;
         }
@@ -110,20 +95,6 @@ impl Hierarchy {
     /// Peeks (without side effects) at which level `addr` would hit.
     pub fn probe_data(&self, addr: u64) -> HitLevel {
         if self.l1d.contains(addr) {
-            HitLevel::L1
-        } else if self.l2.contains(addr) {
-            HitLevel::L2
-        } else if self.l3.contains(addr) {
-            HitLevel::L3
-        } else {
-            HitLevel::Mem
-        }
-    }
-
-    /// Peeks (without side effects) at which level an instruction fetch of
-    /// `addr` would hit.
-    pub fn probe_inst(&self, addr: u64) -> HitLevel {
-        if self.l1i.contains(addr) {
             HitLevel::L1
         } else if self.l2.contains(addr) {
             HitLevel::L2
@@ -158,12 +129,6 @@ impl Hierarchy {
     /// Aggregate `(hits, misses)` across L1D accesses.
     pub fn l1d_stats(&self) -> (u64, u64) {
         self.l1d.stats()
-    }
-
-    /// Returns whether two addresses share a cache line — alignment hazards
-    /// are the main reason the paper's `skelly` framework exists (§6.2).
-    pub fn same_line(a: u64, b: u64) -> bool {
-        line_of(a) == line_of(b)
     }
 
     fn caches_mut(&mut self) -> [&mut Cache; 4] {
@@ -215,7 +180,7 @@ mod tests {
     use super::*;
 
     fn h() -> Hierarchy {
-        Hierarchy::new(HierarchyConfig::default(), 7)
+        Hierarchy::new()
     }
 
     #[test]
@@ -235,7 +200,7 @@ mod tests {
         h.access_inst(0x40);
         h.flush(0x40);
         assert_eq!(h.probe_data(0x40), HitLevel::Mem);
-        assert_eq!(h.probe_inst(0x40), HitLevel::Mem);
+        assert!(!h.in_l1i(0x40));
     }
 
     #[test]
@@ -271,11 +236,5 @@ mod tests {
         }
         assert_eq!(h.l1d_stats(), before);
         assert_eq!(h.probe_data(0x9999), HitLevel::Mem);
-    }
-
-    #[test]
-    fn same_line_helper() {
-        assert!(Hierarchy::same_line(0, 63));
-        assert!(!Hierarchy::same_line(63, 64));
     }
 }

@@ -5,10 +5,9 @@
 //! (ASPLOS '21) reproduction: a cycle-level model of the CPU components the
 //! paper computes with —
 //!
-//! * a split-L1, inclusive three-level [cache hierarchy](hierarchy) with
-//!   `clflush`,
-//! * a [direction predictor and BTB](branch) that can be mistrained through
-//!   aliased branches,
+//! * a split-L1 three-level [cache hierarchy](hierarchy) with `clflush`,
+//! * a bimodal [direction predictor and BTB](branch) that can be mistrained
+//!   through aliased branches,
 //! * a [machine] whose mispredicted branches and faulting
 //!   transactions open *speculative windows* in which wrong-path code races
 //!   cache latencies,
@@ -74,9 +73,9 @@ pub mod trace;
 
 /// Convenient re-exports of the most used types.
 pub mod prelude {
-    pub use crate::branch::{Btb, DirectionPredictor, PredictorKind};
+    pub use crate::branch::{Btb, DirectionPredictor};
     pub use crate::cache::{line_of, Cache, CacheConfig, LINE_SIZE};
-    pub use crate::hierarchy::{Hierarchy, HierarchyConfig, HitLevel};
+    pub use crate::hierarchy::{Hierarchy, HitLevel};
     pub use crate::isa::{AluOp, Assembler, Inst, Operand, Program, Reg, INST_SIZE};
     pub use crate::machine::{
         ExecutionModel, FaultCause, Machine, MachineConfig, MachineStats, RunOutcome,

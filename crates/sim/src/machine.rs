@@ -10,15 +10,20 @@
 //!   but every operation takes a fixed latency and nothing is speculated.
 //!   μWM computations degenerate on it, which is the paper's
 //!   emulation-detection use case (§2.1).
+//!
+//! The microarchitecture is one fixed design: the cache [`Hierarchy`]
+//! (split tree-PLRU L1s, LRU L2 and L3), a bimodal [`DirectionPredictor`]
+//! and a direct-mapped [`Btb`]. [`MachineConfig`] varies only latencies,
+//! noise, the execution model and the predecode switch.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::branch::{Btb, DirectionPredictor, PredictorKind};
+use crate::branch::{Btb, DirectionPredictor};
 use crate::cache::RestoreScope;
 use crate::contention::Contention;
-use crate::hierarchy::{Hierarchy, HierarchyConfig, HitLevel};
+use crate::hierarchy::{Hierarchy, HitLevel};
 use crate::isa::{brz_target, AluOp, Inst, Operand, Program, Reg, INST_SIZE, NUM_REGS};
 use crate::memory::Memory;
 use crate::predecode::CodeCache;
@@ -28,6 +33,9 @@ use crate::trace::{ArchEvent, Tracer};
 /// Maximum number of instructions executed inside one speculative window,
 /// regardless of timing (hardware bounds this by ROB capacity).
 pub const MAX_SPEC_INSTS: usize = 256;
+
+/// Speculative source ready-time for values that never arrive.
+const NEVER: u64 = u64::MAX / 2;
 
 /// Whether the machine models the microarchitecture or emulates flatly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -40,17 +48,15 @@ pub enum ExecutionModel {
     Flat,
 }
 
-/// Machine construction parameters.
+/// Machine construction parameters. The microarchitecture itself is
+/// fixed: the [`Hierarchy`]'s geometry and policies, a 1024-entry
+/// bimodal [`DirectionPredictor`] and a 512-entry [`Btb`].
 #[derive(Debug, Clone)]
 pub struct MachineConfig {
     /// Operation latencies.
     pub latency: LatencyConfig,
     /// Disturbance model.
     pub noise: NoiseConfig,
-    /// Cache geometry.
-    pub hierarchy: HierarchyConfig,
-    /// Direction-predictor scheme.
-    pub predictor: PredictorKind,
     /// Execution model.
     pub model: ExecutionModel,
     /// Serve fetches from the predecoded instruction cache (host-side
@@ -64,8 +70,6 @@ impl Default for MachineConfig {
         Self {
             latency: LatencyConfig::default(),
             noise: NoiseConfig::default(),
-            hierarchy: HierarchyConfig::default(),
-            predictor: PredictorKind::default(),
             model: ExecutionModel::default(),
             predecode: true,
         }
@@ -297,8 +301,8 @@ impl Machine {
         Self {
             regs: [0; NUM_REGS],
             mem: Memory::new(),
-            hier: Hierarchy::new(cfg.hierarchy, seed),
-            bp: DirectionPredictor::new(cfg.predictor, 1024),
+            hier: Hierarchy::new(),
+            bp: DirectionPredictor::new(1024),
             btb: Btb::new(512),
             contention: Contention::new(),
             noise: NoiseGen::new(cfg.noise.clone(), seed),
@@ -704,7 +708,7 @@ impl Machine {
                 StepResult::Halted => return RunOutcome::Halted,
                 StepResult::Fault(cause) => {
                     if self.tx.is_some() {
-                        pc = self.tsx_abort_with_window(pc, cause);
+                        pc = self.tsx_abort_with_window(pc);
                     } else {
                         if self.tracer.is_enabled() {
                             self.tracer.record(ArchEvent::Fault { pc });
@@ -1017,8 +1021,6 @@ impl Machine {
 
     /// [`Machine::speculate`]'s body, with the window scratch passed in.
     fn speculate_with(&mut self, start_pc: u64, window: u64, scratch: &mut SpecScratch) {
-        /// Source ready-time for values that never arrive.
-        const NEVER: u64 = u64::MAX / 2;
         let lat = self.cfg.latency.clone();
         let mut pc = start_pc;
         // Front-end clock (cycles since the window opened).
@@ -1139,7 +1141,6 @@ impl Machine {
                         dst,
                         addr as u64,
                         dispatch,
-                        window,
                         &mut vals,
                         &mut ready,
                         &scratch.store_buf,
@@ -1159,7 +1160,6 @@ impl Machine {
                         dst,
                         addr,
                         start,
-                        window,
                         &mut vals,
                         &mut ready,
                         &scratch.store_buf,
@@ -1261,7 +1261,6 @@ impl Machine {
         dst: Reg,
         addr: u64,
         start: u64,
-        _window: u64,
         vals: &mut [u64; NUM_REGS],
         ready: &mut [u64; NUM_REGS],
         store_buf: &[(u64, u64, u64)],
@@ -1269,7 +1268,6 @@ impl Machine {
     ) where
         F: FnMut(&mut Self, u64, u64) -> Option<u64>,
     {
-        const NEVER: u64 = u64::MAX / 2;
         if let Some(&(_, v, vready)) = store_buf.iter().rev().find(|&&(a, _, _)| a == addr) {
             // Store-to-load forwarding.
             let done = start.max(vready) + self.cfg.latency.l1;
@@ -1294,7 +1292,7 @@ impl Machine {
     /// speculative window (§4 — "the pipeline continues to execute
     /// instructions even after the fault"), then roll back and transfer to
     /// the abort handler.
-    fn tsx_abort_with_window(&mut self, fault_pc: u64, _cause: FaultCause) -> u64 {
+    fn tsx_abort_with_window(&mut self, fault_pc: u64) -> u64 {
         let window = self.noise.tsx_window(self.cfg.latency.tsx_spec_window);
         if self.cfg.model == ExecutionModel::Microarchitectural {
             self.speculate(fault_pc + INST_SIZE, window);
@@ -2277,10 +2275,10 @@ mod restore_tests {
         }
     }
 
-    /// Every cache set of the default hierarchy: what a full copy copies.
+    /// Every cache set of the hierarchy: what a full copy copies.
     fn all_sets() -> usize {
-        let h = MachineConfig::default().hierarchy;
-        h.l1i.sets + h.l1d.sets + h.l2.sets + h.l3.sets
+        use crate::cache::CacheConfig;
+        2 * CacheConfig::l1().sets + CacheConfig::l2().sets + CacheConfig::l3().sets
     }
 
     /// Cache sets that restores on this thread copy while `f` runs.

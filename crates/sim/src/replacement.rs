@@ -1,8 +1,6 @@
-//! Replacement policies for set-associative caches.
-//!
-//! The paper notes (§3.1, "Variability") that weird registers can be built
-//! from replacement metadata itself (LRU-state channels, reference 65 in the paper),
-//! so the policy is a first-class, swappable component here.
+//! Replacement policies for set-associative caches: true LRU (the L2 and
+//! L3) and tree pseudo-LRU (the L1s). Both are deterministic functions of
+//! the access stream.
 
 /// Which replacement policy a cache uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -12,13 +10,11 @@ pub enum Policy {
     Lru,
     /// Tree pseudo-LRU, as used by most real L1 caches.
     TreePlru,
-    /// Random replacement (deterministic xorshift inside the cache).
-    Random,
 }
 
 /// Per-set replacement state. One instance per cache set.
 ///
-/// Every variant packs into a single `u64`, so a cache's `Vec<SetState>`
+/// Both variants pack into a single `u64`, so a cache's `Vec<SetState>`
 /// is a flat array with no per-set heap allocation — the LRU recency
 /// list is nibble-coded (way index at recency position `i` lives in bits
 /// `4i..4i+4`, position 0 = MRU), which caps true LRU at 16 ways; the
@@ -29,8 +25,6 @@ pub(crate) enum SetState {
     Lru { order: u64 },
     /// Flattened binary tree of direction bits; supports power-of-two ways.
     TreePlru { bits: u64 },
-    /// Xorshift state for random victim selection.
-    Random { state: u64 },
 }
 
 /// Nibble-packed identity permutation: way `i` at recency position `i`.
@@ -44,15 +38,12 @@ fn lru_init(ways: usize) -> u64 {
 }
 
 impl SetState {
-    pub(crate) fn new(policy: Policy, ways: usize, seed: u64) -> Self {
+    pub(crate) fn new(policy: Policy, ways: usize) -> Self {
         match policy {
             Policy::Lru => SetState::Lru {
                 order: lru_init(ways),
             },
             Policy::TreePlru => SetState::TreePlru { bits: 0 },
-            Policy::Random => SetState::Random {
-                state: seed | 1, // never zero
-            },
         }
     }
 
@@ -89,12 +80,11 @@ impl SetState {
                     node = 2 * node + 1 + dir;
                 }
             }
-            SetState::Random { .. } => {}
         }
     }
 
     /// Chooses the victim way for the next fill.
-    pub(crate) fn victim(&mut self, ways: usize) -> usize {
+    pub(crate) fn victim(&self, ways: usize) -> usize {
         match self {
             SetState::Lru { order } => ((*order >> (4 * (ways - 1))) & 0xF) as usize,
             SetState::TreePlru { bits } => {
@@ -108,15 +98,6 @@ impl SetState {
                 }
                 way
             }
-            SetState::Random { state } => {
-                // xorshift64
-                let mut x = *state;
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                *state = x;
-                (x % ways as u64) as usize
-            }
         }
     }
 }
@@ -127,7 +108,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recent() {
-        let mut s = SetState::new(Policy::Lru, 4, 0);
+        let mut s = SetState::new(Policy::Lru, 4);
         for w in 0..4 {
             s.touch(w, 4);
         }
@@ -139,7 +120,7 @@ mod tests {
 
     #[test]
     fn plru_points_away_from_recent() {
-        let mut s = SetState::new(Policy::TreePlru, 4, 0);
+        let mut s = SetState::new(Policy::TreePlru, 4);
         s.touch(0, 4);
         let v = s.victim(4);
         assert_ne!(v, 0, "PLRU must not immediately evict the MRU way");
@@ -147,7 +128,7 @@ mod tests {
 
     #[test]
     fn plru_full_touch_cycle_is_consistent() {
-        let mut s = SetState::new(Policy::TreePlru, 8, 0);
+        let mut s = SetState::new(Policy::TreePlru, 8);
         // Touch all ways; victim must be a valid way index.
         for w in 0..8 {
             s.touch(w, 8);
@@ -156,15 +137,5 @@ mod tests {
         assert!(v < 8);
         // The most recently touched way (7) must not be the victim.
         assert_ne!(v, 7);
-    }
-
-    #[test]
-    fn random_is_deterministic_per_seed() {
-        let mut a = SetState::new(Policy::Random, 8, 99);
-        let mut b = SetState::new(Policy::Random, 8, 99);
-        let va: Vec<usize> = (0..32).map(|_| a.victim(8)).collect();
-        let vb: Vec<usize> = (0..32).map(|_| b.victim(8)).collect();
-        assert_eq!(va, vb);
-        assert!(va.iter().all(|&w| w < 8));
     }
 }

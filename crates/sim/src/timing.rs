@@ -292,11 +292,6 @@ impl NoiseGen {
         let delta = self.rng.gen_range(-spread..=spread);
         (nominal as i64 + delta).max(0) as u64
     }
-
-    /// Uniform random u64 below `bound`; exposed for replacement policies.
-    pub fn below(&mut self, bound: u64) -> u64 {
-        self.rng.gen_range(0..bound)
-    }
 }
 
 #[cfg(test)]

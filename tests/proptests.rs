@@ -177,14 +177,11 @@ fn memory_semantics() {
 fn cache_access_flush_invariants() {
     let mut rng = StdRng::seed_from_u64(0x150_0004);
     for case in 0..CASES {
-        let mut cache = Cache::new(
-            CacheConfig {
-                sets: 16,
-                ways: 2,
-                policy: Policy::Lru,
-            },
-            7,
-        );
+        let mut cache = Cache::new(CacheConfig {
+            sets: 16,
+            ways: 2,
+            policy: Policy::Lru,
+        });
         for _ in 0..rng.gen_range(1..200usize) {
             let addr = rng.gen_range(0..(1u64 << 14));
             if rng.gen::<bool>() {
@@ -214,7 +211,7 @@ fn cache_occupancy_bounded() {
         policy: Policy::TreePlru,
     };
     for case in 0..CASES {
-        let mut cache = Cache::new(cfg, 3);
+        let mut cache = Cache::new(cfg);
         for _ in 0..rng.gen_range(1..300usize) {
             cache.access(rng.gen_range(0..(1u64 << 20)));
             assert!(cache.occupancy() <= cfg.sets * cfg.ways, "case {case}");
