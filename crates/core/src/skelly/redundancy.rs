@@ -5,10 +5,8 @@
 //! redundantly: `s` timed executions → the bit of the median-delay reading
 //! → one vote; `n` votes → k-threshold decision. The paper's SHA-1 runs used `s = 10, k = 3, n = 5`.
 
-use std::collections::BTreeMap;
-
 use crate::error::Result;
-use crate::gate::{check_arity, WeirdGate};
+use crate::gate::{check_arity, GateKind, WeirdGate};
 use crate::substrate::Substrate;
 
 /// Redundancy parameters for voted gate execution.
@@ -103,11 +101,13 @@ impl Redundancy {
         } else {
             None
         };
-        let counters = bank.entry(gate.name());
+        let counters = bank.entry(gate.kind());
         let mut ones = 0usize;
-        let mut readings = Vec::with_capacity(self.samples);
         for _ in 0..self.votes {
-            readings.clear();
+            // Readings that decoded as 1, and the shortest delay read for
+            // each bit.
+            let mut sample_ones = 0usize;
+            let mut shortest = [u64::MAX; 2];
             for _ in 0..self.samples {
                 let r = match &prepared {
                     Some(snap) => {
@@ -120,12 +120,21 @@ impl Redundancy {
                 if r.bit == expected {
                     counters.raw_correct += 1;
                 }
-                readings.push(r);
+                sample_ones += usize::from(r.bit);
+                let d = &mut shortest[usize::from(r.bit)];
+                *d = (*d).min(r.delay);
             }
             // The gate decoded every reading against one threshold, so bits
-            // are monotone in delay: the median reading's bit is the vote.
-            readings.sort_unstable_by_key(|r| r.delay);
-            let vote = readings[readings.len() / 2].bit;
+            // are monotone in delay: the median-delay reading (rank
+            // `samples / 2` in delay order) carries the vote, and its bit
+            // follows from the count of ones and which bit the shorter
+            // delays decode to.
+            let median = self.samples / 2;
+            let vote = if shortest[1] < shortest[0] {
+                median < sample_ones
+            } else {
+                median >= self.samples - sample_ones
+            };
             counters.medians_total += 1;
             if vote == expected {
                 counters.medians_correct += 1;
@@ -191,10 +200,11 @@ impl GateCounters {
     }
 }
 
-/// Statistics per gate name, ordered for stable reporting.
+/// Statistics per gate kind, reported in name order.
 #[derive(Debug, Clone, Default)]
 pub struct CounterBank {
-    counters: BTreeMap<&'static str, GateCounters>,
+    /// Indexed by `GateKind as usize`; `None` until the kind executes.
+    counters: [Option<GateCounters>; GateKind::ALL.len()],
 }
 
 impl CounterBank {
@@ -203,32 +213,40 @@ impl CounterBank {
         Self::default()
     }
 
-    /// The (possibly fresh) counters for `gate`.
-    pub fn entry(&mut self, gate: &'static str) -> &mut GateCounters {
-        self.counters.entry(gate).or_default()
+    /// The (possibly fresh) counters for `kind`.
+    pub fn entry(&mut self, kind: GateKind) -> &mut GateCounters {
+        self.counters[kind as usize].get_or_insert_with(GateCounters::default)
     }
 
-    /// Read-only counters for `gate`, if it ever executed.
+    /// Read-only counters for the gate named `gate` (as in
+    /// [`GateKind::name`]), if it ever executed.
     pub fn get(&self, gate: &str) -> Option<&GateCounters> {
-        self.counters.get(gate)
+        let kind = GateKind::ALL.into_iter().find(|k| k.name() == gate)?;
+        self.counters[kind as usize].as_ref()
     }
 
     /// Iterates `(gate name, counters)` in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, &GateCounters)> {
-        self.counters.iter().map(|(&k, v)| (k, v))
+        let mut kinds = GateKind::ALL;
+        kinds.sort_unstable_by_key(|k| k.name());
+        kinds
+            .into_iter()
+            .filter_map(|k| Some((k.name(), self.counters[k as usize].as_ref()?)))
     }
 
     /// Merges another bank into this one, gate by gate — the deterministic
     /// reduction step after a [`crate::exec::ShardedExecutor`] run.
     pub fn merge(&mut self, other: &CounterBank) {
-        for (name, c) in other.iter() {
-            self.entry(name).merge(c);
+        for (kind, c) in GateKind::ALL.into_iter().zip(&other.counters) {
+            if let Some(c) = c {
+                self.entry(kind).merge(c);
+            }
         }
     }
 
     /// Drops all statistics.
     pub fn clear(&mut self) {
-        self.counters.clear();
+        self.counters = Default::default();
     }
 }
 
@@ -478,10 +496,32 @@ mod tests {
 
     #[test]
     fn counter_bank_iterates_in_name_order() {
+        // The bank indexes its slots by `kind as usize` and merges by
+        // walking `GateKind::ALL`, so the two orders must agree.
+        for (i, kind) in GateKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind:?}");
+        }
         let mut bank = CounterBank::new();
-        bank.entry("Z").raw_total = 1;
-        bank.entry("A").raw_total = 2;
-        let names: Vec<_> = bank.iter().map(|(n, _)| n).collect();
-        assert_eq!(names, vec!["A", "Z"]);
+        // Declaration order is not name order: TSX_ASSIGN is declared
+        // before TSX_AND, and OR before NAND.
+        for (i, kind) in [
+            GateKind::TxAssign,
+            GateKind::TxAnd,
+            GateKind::Or,
+            GateKind::Nand,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            bank.entry(kind).raw_total = i as u64 + 1;
+        }
+        let seen: Vec<_> = bank.iter().map(|(n, c)| (n, c.raw_total)).collect();
+        assert_eq!(
+            seen,
+            vec![("NAND", 4), ("OR", 3), ("TSX_AND", 2), ("TSX_ASSIGN", 1)]
+        );
+        assert_eq!(bank.get("TSX_AND").map(|c| c.raw_total), Some(2));
+        assert!(bank.get("AND").is_none(), "never executed");
+        assert!(bank.get("BOGUS").is_none(), "no such gate");
     }
 }

@@ -61,11 +61,11 @@ macro_rules! clone_by_field {
 pub mod branch;
 pub mod cache;
 pub mod contention;
-pub mod fxmap;
 pub mod hierarchy;
 pub mod isa;
 pub mod machine;
 pub mod memory;
+mod page_table;
 pub mod predecode;
 pub mod replacement;
 pub mod timing;

@@ -26,7 +26,7 @@ use crate::contention::Contention;
 use crate::hierarchy::{Hierarchy, HitLevel};
 use crate::isa::{brz_target, AluOp, Inst, Operand, Program, Reg, INST_SIZE, NUM_REGS};
 use crate::memory::Memory;
-use crate::predecode::CodeCache;
+use crate::predecode::{CodeCache, PageMemo};
 use crate::timing::{LatencyConfig, NoiseConfig, NoiseGen};
 use crate::trace::{ArchEvent, Tracer};
 
@@ -185,13 +185,6 @@ struct InflightTable {
     spill: Vec<((bool, u64), u64)>,
 }
 
-clone_by_field!(InflightTable {
-    len,
-    keys,
-    done,
-    spill
-});
-
 impl InflightTable {
     fn clear(&mut self) {
         self.len = 0;
@@ -240,7 +233,9 @@ struct Lineage {
 }
 
 /// Reusable speculative-window scratch owned by the machine, so opening a
-/// window allocates nothing in steady state.
+/// window allocates nothing in steady state. Each window clears it before
+/// use, so it holds nothing between windows: restores leave it alone and a
+/// copy starts empty.
 #[derive(Debug, Default)]
 struct SpecScratch {
     /// Store buffer: `(addr, value, value-ready time)`.
@@ -249,10 +244,76 @@ struct SpecScratch {
     inflight: InflightTable,
 }
 
-clone_by_field!(SpecScratch {
-    store_buf,
-    inflight
-});
+impl Clone for SpecScratch {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+/// Where fetches come from: the static program, its predecode cache and
+/// the fetch's one-entry page memo into that cache. The memo is reset
+/// whenever `code` is rebuilt or replaced by another cache.
+#[derive(Debug, Clone, Default)]
+struct Fetch {
+    /// Fixed after set-up, so snapshots share it instead of copying it.
+    program: Arc<Program>,
+    /// Copy-on-write: cloned only if written while a snapshot shares it.
+    code: Arc<CodeCache>,
+    memo: PageMemo,
+}
+
+impl Fetch {
+    /// Replaces the program and predecodes it.
+    fn load(&mut self, program: Program) {
+        self.program = Arc::new(program);
+        Arc::make_mut(&mut self.code).rebuild(&self.program);
+        self.memo.reset();
+    }
+
+    /// Shares `snap`'s program and predecode cache.
+    fn restore_from(&mut self, snap: &Fetch) {
+        share(&mut self.program, &snap.program);
+        if !Arc::ptr_eq(&self.code, &snap.code) {
+            self.code = Arc::clone(&snap.code);
+            self.memo.reset();
+        }
+    }
+
+    /// The instruction at `pc`: from the predecode cache when `predecode`
+    /// is on and the slot is filled, otherwise through [`Fetch::slow`].
+    #[inline]
+    fn inst(&mut self, pc: u64, mem: &Memory, predecode: bool) -> Inst {
+        if predecode {
+            if let Some(i) = self.code.lookup_memo(pc, &mut self.memo) {
+                return i;
+            }
+        }
+        self.slow(pc, mem, predecode)
+    }
+
+    /// Slow-path fetch: consults the program, then decodes memory bytes;
+    /// installs the result into the predecode cache when `predecode` is on.
+    fn slow(&mut self, pc: u64, mem: &Memory, predecode: bool) -> Inst {
+        if let Some(i) = self.program.get(pc) {
+            if predecode {
+                Arc::make_mut(&mut self.code).install_static(pc, i);
+            }
+            return i;
+        }
+        let inst = Inst::decode(&mem.read_array(pc));
+        if predecode {
+            Arc::make_mut(&mut self.code).install_dynamic(pc, inst);
+        }
+        inst
+    }
+
+    /// A 64-bit store landed at `addr`: drop the dynamic slots it overlaps.
+    fn invalidate(&mut self, addr: u64) {
+        if self.code.has_dynamic() {
+            Arc::make_mut(&mut self.code).invalidate_bytes(addr, 8);
+        }
+    }
+}
 
 /// The simulated CPU.
 ///
@@ -282,10 +343,7 @@ pub struct Machine {
     contention: Contention,
     noise: NoiseGen,
     tracer: Tracer,
-    /// Fixed after set-up, so snapshots share it instead of copying it.
-    program: Arc<Program>,
-    /// Copy-on-write: cloned only if written while a snapshot shares it.
-    code: Arc<CodeCache>,
+    fetch: Fetch,
     cycles: u64,
     tx: Option<TxState>,
     stats: MachineStats,
@@ -307,8 +365,7 @@ impl Machine {
             contention: Contention::new(),
             noise: NoiseGen::new(cfg.noise.clone(), seed),
             tracer: Tracer::disabled(),
-            program: Arc::default(),
-            code: Arc::default(),
+            fetch: Fetch::default(),
             cycles: 0,
             tx: None,
             stats: MachineStats::default(),
@@ -331,27 +388,26 @@ impl Machine {
 
     /// Replaces the loaded program and predecodes it.
     pub fn load_program(&mut self, program: Program) {
-        self.program = Arc::new(program);
-        Arc::make_mut(&mut self.code).rebuild(&self.program);
+        self.fetch.load(program);
     }
 
     /// Merges additional code into the loaded program and predecodes it
     /// (the added code only; see [`CodeCache::add_static`]).
     pub fn add_program(&mut self, program: Program) {
-        Arc::make_mut(&mut self.code).add_static(&program);
-        Arc::make_mut(&mut self.program).merge(program);
+        Arc::make_mut(&mut self.fetch.code).add_static(&program);
+        Arc::make_mut(&mut self.fetch.program).merge(program);
     }
 
     /// Merges additional code from a shared reference and predecodes it —
     /// no intermediate [`Program`] clone.
     pub fn add_program_from(&mut self, program: &Program) {
-        Arc::make_mut(&mut self.program).merge_from(program);
-        Arc::make_mut(&mut self.code).add_static(program);
+        Arc::make_mut(&mut self.fetch.program).merge_from(program);
+        Arc::make_mut(&mut self.fetch.code).add_static(program);
     }
 
     /// The loaded static program.
     pub fn program(&self) -> &Program {
-        &self.program
+        &self.fetch.program
     }
 
     /// Direct memory access (the "operating system" view; no MA effects).
@@ -363,8 +419,8 @@ impl Machine {
     /// handle cannot be intercepted per address, so dynamically decoded
     /// instructions are dropped from the predecode cache up front.
     pub fn mem_mut(&mut self) -> &mut Memory {
-        if self.code.has_dynamic() {
-            Arc::make_mut(&mut self.code).drop_dynamic();
+        if self.fetch.code.has_dynamic() {
+            Arc::make_mut(&mut self.fetch.code).drop_dynamic();
         }
         &mut self.mem
     }
@@ -476,8 +532,8 @@ impl Machine {
         if self.cfg.predecode {
             let mut pc = base - base % INST_SIZE;
             while pc < end {
-                if self.code.lookup(pc).is_none() {
-                    self.fetch_slow(pc);
+                if self.fetch.code.lookup(pc).is_none() {
+                    self.fetch.slow(pc, &self.mem, true);
                 }
                 pc += INST_SIZE;
             }
@@ -595,10 +651,8 @@ impl Machine {
         self.bp.clone_from(&snap.bp);
         self.btb.clone_from(&snap.btb);
         self.contention = snap.contention.clone();
-        share(&mut self.program, &snap.program);
-        share(&mut self.code, &snap.code);
+        self.fetch.restore_from(&snap.fetch);
         self.tx.clone_from(&snap.tx);
-        self.spec_scratch.clone_from(&snap.spec_scratch);
         self.undo_pool.clone_from(&snap.undo_pool);
     }
 
@@ -614,22 +668,13 @@ impl Machine {
     // Latency helpers
     // ------------------------------------------------------------------
 
-    fn level_latency(&self, level: HitLevel) -> u64 {
-        match level {
-            HitLevel::L1 => self.cfg.latency.l1,
-            HitLevel::L2 => self.cfg.latency.l2,
-            HitLevel::L3 => self.cfg.latency.l3,
-            HitLevel::Mem => self.cfg.latency.dram,
-        }
-    }
-
     /// Non-speculative data access: fills caches, returns latency.
     fn data_access(&mut self, addr: u64, timed: bool) -> u64 {
         if self.cfg.model == ExecutionModel::Flat {
             return self.cfg.latency.l1;
         }
         let level = self.hier.access_data(addr);
-        let mut lat = self.level_latency(level) + self.noise.mem_jitter();
+        let mut lat = level_latency(&self.cfg.latency, level) + self.noise.mem_jitter();
         if timed {
             lat += self.noise.interrupt_spike();
         }
@@ -642,40 +687,12 @@ impl Machine {
             return 1;
         }
         let level = self.hier.access_inst(addr);
-        self.level_latency(level) + self.noise.mem_jitter()
+        level_latency(&self.cfg.latency, level) + self.noise.mem_jitter()
     }
 
     // ------------------------------------------------------------------
     // Execution
     // ------------------------------------------------------------------
-
-    /// Fetches the instruction at `pc`: from the predecode cache when
-    /// possible, otherwise from the static program if present, otherwise
-    /// decoded from simulated memory (dynamically written code).
-    fn fetch_inst(&mut self, pc: u64) -> Inst {
-        if self.cfg.predecode {
-            if let Some(i) = self.code.lookup(pc) {
-                return i;
-            }
-        }
-        self.fetch_slow(pc)
-    }
-
-    /// Slow-path fetch: consults the program map, then decodes memory
-    /// bytes; installs the result into the predecode cache when enabled.
-    fn fetch_slow(&mut self, pc: u64) -> Inst {
-        if let Some(i) = self.program.get(pc) {
-            if self.cfg.predecode {
-                Arc::make_mut(&mut self.code).install_static(pc, i);
-            }
-            return i;
-        }
-        let inst = Inst::decode(&self.mem.read_array(pc));
-        if self.cfg.predecode {
-            Arc::make_mut(&mut self.code).install_dynamic(pc, inst);
-        }
-        inst
-    }
 
     #[inline]
     fn operand(&self, op: Operand) -> u64 {
@@ -722,7 +739,7 @@ impl Machine {
 
     fn step(&mut self, pc: u64) -> StepResult {
         self.cycles += self.inst_access(pc);
-        let inst = self.fetch_inst(pc);
+        let inst = self.fetch.inst(pc, &self.mem, self.cfg.predecode);
         self.stats.committed_insts += 1;
         if self.tracer.is_enabled() {
             self.tracer.record(ArchEvent::Commit { pc, inst });
@@ -920,7 +937,7 @@ impl Machine {
             tx.undo_log.push((addr, self.mem.read_u64(addr)));
         }
         self.mem.write_u64(addr, value);
-        self.invalidate_code(addr); // self-modifying code
+        self.fetch.invalidate(addr); // self-modifying code
         if self.tracer.is_enabled() {
             self.tracer.record(ArchEvent::MemWrite { addr, value });
         }
@@ -1012,16 +1029,10 @@ impl Machine {
         if window == 0 {
             return;
         }
-        // Move the reusable scratch out of `self` so the window body can
-        // borrow the machine mutably alongside it; restore it afterwards.
-        let mut scratch = std::mem::take(&mut self.spec_scratch);
-        self.speculate_with(start_pc, window, &mut scratch);
-        self.spec_scratch = scratch;
-    }
-
-    /// [`Machine::speculate`]'s body, with the window scratch passed in.
-    fn speculate_with(&mut self, start_pc: u64, window: u64, scratch: &mut SpecScratch) {
-        let lat = self.cfg.latency.clone();
+        // The body borrows disjoint fields of `self` (never `self` as a
+        // whole), so the scratch is used in place.
+        let scratch = &mut self.spec_scratch;
+        let lat = &self.cfg.latency;
         let mut pc = start_pc;
         // Front-end clock (cycles since the window opened).
         let mut fetch_t: u64 = 0;
@@ -1034,7 +1045,7 @@ impl Machine {
         // Issues a cache access at `start` if it fits the window. Returns
         // the data-ready time, or `None` if the access could not issue.
         macro_rules! line_access {
-            ($self:ident, $addr:expr, $start:expr, $is_inst:expr) => {{
+            ($addr:expr, $start:expr, $is_inst:expr) => {{
                 let start: u64 = $start;
                 if start > window {
                     None
@@ -1048,11 +1059,11 @@ impl Machine {
                         // access (pre-fill) and fills on the way — one
                         // hierarchy walk where probe-then-access took two.
                         let level = if $is_inst {
-                            $self.hier.access_inst(addr)
+                            self.hier.access_inst(addr)
                         } else {
-                            $self.hier.access_data(addr)
+                            self.hier.access_data(addr)
                         };
-                        let l = $self.level_latency(level) + $self.noise.mem_jitter();
+                        let l = level_latency(lat, level) + self.noise.mem_jitter();
                         let done = start + l;
                         scratch.inflight.insert(key, done);
                         Some(done)
@@ -1061,9 +1072,36 @@ impl Machine {
             }};
         }
 
+        // Speculative load into `dst`: store-to-load forwarding from the
+        // store buffer, otherwise a race of the cache access against the
+        // window.
+        macro_rules! spec_load {
+            ($dst:expr, $addr:expr, $start:expr) => {{
+                let (dst, addr, start): (Reg, u64, u64) = ($dst, $addr, $start);
+                let forwarded = scratch
+                    .store_buf
+                    .iter()
+                    .rev()
+                    .find(|&&(a, _, _)| a == addr)
+                    .copied();
+                if let Some((_, v, vready)) = forwarded {
+                    vals[dst as usize] = v;
+                    ready[dst as usize] = start.max(vready) + lat.l1;
+                } else {
+                    match line_access!(addr, start, false) {
+                        Some(done) => {
+                            vals[dst as usize] = self.mem.read_u64(addr);
+                            ready[dst as usize] = done;
+                        }
+                        None => ready[dst as usize] = NEVER,
+                    }
+                }
+            }};
+        }
+
         for _ in 0..MAX_SPEC_INSTS {
             // ---- front end: fetch through the I-cache ----
-            let f_ready = match line_access!(self, pc, fetch_t, true) {
+            let f_ready = match line_access!(pc, fetch_t, true) {
                 Some(t) => t,
                 None => return,
             };
@@ -1073,7 +1111,7 @@ impl Machine {
                 return;
             }
             fetch_t = f_ready;
-            let inst = self.fetch_inst(pc);
+            let inst = self.fetch.inst(pc, &self.mem, self.cfg.predecode);
             self.stats.speculative_insts += 1;
             let next = pc + INST_SIZE;
             let dispatch = fetch_t;
@@ -1137,15 +1175,7 @@ impl Machine {
                     pc = next;
                 }
                 Inst::Load { dst, addr } => {
-                    self.spec_load(
-                        dst,
-                        addr as u64,
-                        dispatch,
-                        &mut vals,
-                        &mut ready,
-                        &scratch.store_buf,
-                        |m, a, s| line_access!(m, a, s, false),
-                    );
+                    spec_load!(dst, addr as u64, dispatch);
                     pc = next;
                 }
                 Inst::LoadInd { dst, base, offset } => {
@@ -1156,21 +1186,13 @@ impl Machine {
                         continue;
                     }
                     let addr = vals[base as usize].wrapping_add(offset as u64);
-                    self.spec_load(
-                        dst,
-                        addr,
-                        start,
-                        &mut vals,
-                        &mut ready,
-                        &scratch.store_buf,
-                        |m, a, s| line_access!(m, a, s, false),
-                    );
+                    spec_load!(dst, addr, start);
                     pc = next;
                 }
                 Inst::Store { addr, src } => {
                     // The RFO needs only the address; fire it if dispatch
                     // fits the window.
-                    let _ = line_access!(self, addr as u64, dispatch, false);
+                    let _ = line_access!(addr as u64, dispatch, false);
                     if dispatch <= window {
                         scratch.store_buf.push((
                             addr as u64,
@@ -1184,7 +1206,7 @@ impl Machine {
                     let start = dispatch.max(src_ready(base, &ready));
                     if start <= window {
                         let addr = vals[base as usize].wrapping_add(offset as u64);
-                        let _ = line_access!(self, addr, start, false);
+                        let _ = line_access!(addr, start, false);
                         scratch.store_buf.push((
                             addr,
                             vals[src as usize],
@@ -1208,7 +1230,7 @@ impl Machine {
                     pc = next;
                 }
                 Inst::TouchCode { addr } => {
-                    let _ = line_access!(self, addr as u64, dispatch, true);
+                    let _ = line_access!(addr as u64, dispatch, true);
                     pc = next;
                 }
                 Inst::Jmp { target } => {
@@ -1225,7 +1247,7 @@ impl Machine {
                 Inst::Brz { cond_addr, rel } => {
                     // Nested branches resolve against memory; no nested
                     // windows open, and the front end waits for resolution.
-                    match line_access!(self, cond_addr as u64, dispatch, false) {
+                    match line_access!(cond_addr as u64, dispatch, false) {
                         Some(done) if done <= window => {
                             fetch_t = done;
                             let v = self.mem.read_u64(cond_addr as u64);
@@ -1253,37 +1275,6 @@ impl Machine {
         }
     }
 
-    /// Speculative load: checks the store buffer, otherwise races the
-    /// window through the cache. `access` issues the cache access.
-    #[allow(clippy::too_many_arguments)]
-    fn spec_load<F>(
-        &mut self,
-        dst: Reg,
-        addr: u64,
-        start: u64,
-        vals: &mut [u64; NUM_REGS],
-        ready: &mut [u64; NUM_REGS],
-        store_buf: &[(u64, u64, u64)],
-        mut access: F,
-    ) where
-        F: FnMut(&mut Self, u64, u64) -> Option<u64>,
-    {
-        if let Some(&(_, v, vready)) = store_buf.iter().rev().find(|&&(a, _, _)| a == addr) {
-            // Store-to-load forwarding.
-            let done = start.max(vready) + self.cfg.latency.l1;
-            vals[dst as usize] = v;
-            ready[dst as usize] = done;
-            return;
-        }
-        match access(self, addr, start) {
-            Some(done) => {
-                vals[dst as usize] = self.mem.read_u64(addr);
-                ready[dst as usize] = done;
-            }
-            None => ready[dst as usize] = NEVER,
-        }
-    }
-
     // ------------------------------------------------------------------
     // TSX abort paths
     // ------------------------------------------------------------------
@@ -1306,7 +1297,7 @@ impl Machine {
         self.regs = tx.saved_regs;
         for &(addr, old) in tx.undo_log.iter().rev() {
             self.mem.write_u64(addr, old);
-            self.invalidate_code(addr);
+            self.fetch.invalidate(addr);
         }
         self.recycle_undo_log(tx.undo_log);
         self.cycles += self.cfg.latency.xabort;
@@ -1318,17 +1309,20 @@ impl Machine {
         tx.handler
     }
 
-    /// A 64-bit store landed at `addr`: drop the dynamic slots it overlaps.
-    fn invalidate_code(&mut self, addr: u64) {
-        if self.code.has_dynamic() {
-            Arc::make_mut(&mut self.code).invalidate_bytes(addr, 8);
-        }
-    }
-
     /// Returns a transaction's undo log to the pool for the next `Xbegin`.
     fn recycle_undo_log(&mut self, mut log: Vec<(u64, u64)>) {
         log.clear();
         self.undo_pool = log;
+    }
+}
+
+/// The latency of an access satisfied at `level`.
+fn level_latency(lat: &LatencyConfig, level: HitLevel) -> u64 {
+    match level {
+        HitLevel::L1 => lat.l1,
+        HitLevel::L2 => lat.l2,
+        HitLevel::L3 => lat.l3,
+        HitLevel::Mem => lat.dram,
     }
 }
 
@@ -2137,7 +2131,7 @@ mod restore_tests {
         assert!(m.mem == snap.mem, "{what}: memory differs");
         assert_eq!(m.regs, snap.regs, "{what}: registers differ");
         assert!(
-            m.program.iter().eq(snap.program.iter()),
+            m.fetch.program.iter().eq(snap.fetch.program.iter()),
             "{what}: program differs"
         );
         assert_eq!(
@@ -2481,17 +2475,17 @@ mod install_tests {
     /// dynamic slots included, to equal the rebuild.
     fn check(m: &Machine, model: &BTreeMap<u64, Inst>, exact: bool, what: &str) {
         let want: Vec<(u64, Inst)> = model.iter().map(|(&a, &i)| (a, i)).collect();
-        assert_eq!(m.program.iter().collect::<Vec<_>>(), want, "{what}");
+        assert_eq!(m.fetch.program.iter().collect::<Vec<_>>(), want, "{what}");
         let mut fresh = CodeCache::new();
-        fresh.rebuild(&m.program);
+        fresh.rebuild(&m.fetch.program);
         for pc in pcs() {
-            let got = m.code.lookup(pc);
+            let got = m.fetch.code.lookup(pc);
             if exact || fresh.lookup(pc).is_some() {
                 assert_eq!(got, fresh.lookup(pc), "{what}: pc {pc:#x}");
             }
         }
         if exact {
-            assert_eq!(m.code.has_dynamic(), fresh.has_dynamic(), "{what}");
+            assert_eq!(m.fetch.code.has_dynamic(), fresh.has_dynamic(), "{what}");
         }
     }
 
@@ -2541,7 +2535,7 @@ mod install_tests {
                             assert_eq!(m.run_at(STUB), RunOutcome::Halted);
                         }
                         assert_eq!(m.run_at(pc), RunOutcome::Halted, "{what}");
-                        assert!(m.code.has_dynamic(), "{what}");
+                        assert!(m.fetch.code.has_dynamic(), "{what}");
                         check(&m, &model, false, &what);
                     }
                     _ => snap = Some((m.snapshot(), model.clone())),

@@ -1,11 +1,14 @@
 //! Sparse byte-addressable simulated memory.
 
-use crate::fxmap::IntMap;
+use crate::page_table::{PageTable, PAGE_SHIFT, PAGE_SIZE};
 
-const PAGE_SHIFT: u32 = 12;
-const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
+const PAGE_BYTES: usize = PAGE_SIZE as usize;
 
-/// Sparse, zero-initialized memory with a 4 GiB address space.
+type Page = Box<[u8; PAGE_BYTES]>;
+
+/// Sparse, zero-initialized memory over the whole 64-bit address space.
+/// Pages are allocated on first write; addresses below 4 GiB, where the
+/// simulated programs live, are the cheapest to look up.
 ///
 /// # Examples
 ///
@@ -16,10 +19,24 @@ const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 /// m.write_u64(0x1000, 42);
 /// assert_eq!(m.read_u64(0x1000), 42);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct Memory {
-    pages: IntMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: PageTable<Page>,
 }
+
+/// Equal contents: the same resident pages with the same bytes, whatever
+/// order they were first written in.
+impl PartialEq for Memory {
+    fn eq(&self, other: &Self) -> bool {
+        self.pages.len() == other.pages.len()
+            && self
+                .pages
+                .iter()
+                .all(|(k, page)| other.pages.get(k) == Some(page))
+    }
+}
+
+impl Eq for Memory {}
 
 impl Memory {
     /// Creates empty (all-zero) memory.
@@ -27,60 +44,68 @@ impl Memory {
         Self::default()
     }
 
+    #[inline]
+    fn page_mut(&mut self, addr: u64) -> &mut [u8; PAGE_BYTES] {
+        self.pages
+            .get_or_insert_with(addr >> PAGE_SHIFT, || Box::new([0u8; PAGE_BYTES]))
+    }
+
     /// Reads one byte.
     pub fn read_u8(&self, addr: u64) -> u8 {
-        match self.pages.get(&(addr >> PAGE_SHIFT)) {
-            Some(page) => page[(addr as usize) & (PAGE_SIZE - 1)],
+        match self.pages.get(addr >> PAGE_SHIFT) {
+            Some(page) => page[(addr as usize) & (PAGE_BYTES - 1)],
             None => 0,
         }
     }
 
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: u64, value: u8) {
-        let page = self
-            .pages
-            .entry(addr >> PAGE_SHIFT)
-            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-        page[(addr as usize) & (PAGE_SIZE - 1)] = value;
+        self.page_mut(addr)[(addr as usize) & (PAGE_BYTES - 1)] = value;
     }
 
     /// Reads a little-endian u64 (may straddle pages).
+    #[inline]
     pub fn read_u64(&self, addr: u64) -> u64 {
         u64::from_le_bytes(self.read_array(addr))
     }
 
     /// Writes a little-endian u64.
+    #[inline]
     pub fn write_u64(&mut self, addr: u64, value: u64) {
         let bytes = value.to_le_bytes();
-        let off = (addr as usize) & (PAGE_SIZE - 1);
-        if off + bytes.len() <= PAGE_SIZE {
+        let off = (addr as usize) & (PAGE_BYTES - 1);
+        if off + bytes.len() <= PAGE_BYTES {
             // Within one page: a single page lookup instead of one per byte.
-            let page = self
-                .pages
-                .entry(addr >> PAGE_SHIFT)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-            page[off..off + bytes.len()].copy_from_slice(&bytes);
+            self.page_mut(addr)[off..off + bytes.len()].copy_from_slice(&bytes);
             return;
         }
-        for (i, b) in bytes.iter().enumerate() {
-            self.write_u8(addr + i as u64, *b);
-        }
+        self.write_bytes(addr, &bytes);
     }
 
     /// Reads `N` bytes starting at `addr` without allocating — the
     /// instruction-fetch path.
+    #[inline]
     pub fn read_array<const N: usize>(&self, addr: u64) -> [u8; N] {
         let mut out = [0u8; N];
-        let off = (addr as usize) & (PAGE_SIZE - 1);
-        if off + N <= PAGE_SIZE {
-            // Within one page: a single page lookup instead of one per byte.
-            if let Some(page) = self.pages.get(&(addr >> PAGE_SHIFT)) {
-                out.copy_from_slice(&page[off..off + N]);
-            }
-            return out;
+        let off = (addr as usize) & (PAGE_BYTES - 1);
+        if off + N > PAGE_BYTES {
+            return self.read_straddling(addr);
         }
+        // Within one page: a single page lookup instead of one per byte.
+        if let Some(page) = self.pages.get(addr >> PAGE_SHIFT) {
+            out.copy_from_slice(&page[off..off + N]);
+        }
+        out
+    }
+
+    /// [`Memory::read_array`] across a page boundary, byte by byte; out
+    /// of line so the one-page case inlines.
+    #[cold]
+    #[inline(never)]
+    fn read_straddling<const N: usize>(&self, addr: u64) -> [u8; N] {
+        let mut out = [0u8; N];
         for (i, b) in out.iter_mut().enumerate() {
-            *b = self.read_u8(addr + i as u64);
+            *b = self.read_u8(addr.wrapping_add(i as u64));
         }
         out
     }
@@ -88,13 +113,15 @@ impl Memory {
     /// Copies `bytes` into memory starting at `addr`.
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
         for (i, &b) in bytes.iter().enumerate() {
-            self.write_u8(addr + i as u64, b);
+            self.write_u8(addr.wrapping_add(i as u64), b);
         }
     }
 
     /// Reads `len` bytes starting at `addr`.
     pub fn read_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
-        (0..len).map(|i| self.read_u8(addr + i as u64)).collect()
+        (0..len)
+            .map(|i| self.read_u8(addr.wrapping_add(i as u64)))
+            .collect()
     }
 
     /// Number of distinct pages touched so far (diagnostics).
@@ -108,12 +135,12 @@ impl Memory {
     /// cost is proportional to the snapshot's resident pages, not to the
     /// pages an item touched.
     pub fn restore_from(&mut self, snap: &Memory) {
-        self.pages.retain(|k, _| snap.pages.contains_key(k));
-        for (k, src) in &snap.pages {
+        self.pages.retain(|k| snap.pages.index(k).is_some());
+        for (k, src) in snap.pages.iter() {
             match self.pages.get_mut(k) {
                 Some(dst) => **dst = **src,
                 None => {
-                    self.pages.insert(*k, src.clone());
+                    self.pages.get_or_insert_with(k, || src.clone());
                 }
             }
         }

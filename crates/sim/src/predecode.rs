@@ -3,10 +3,13 @@
 //! Every committed and speculative step fetches an instruction, and before
 //! this module existed each fetch searched the static program and then
 //! re-decoded eight bytes of simulated memory. [`CodeCache`]
-//! decodes each instruction slot once and serves later fetches as an index
-//! lookup into a dense per-page table. This is purely a host-side
-//! optimization: it must never change what an address decodes to, so the
-//! cache distinguishes two slot origins:
+//! decodes each instruction slot once and serves later fetches from a
+//! dense per-page slot table, found through the same direct-indexed page
+//! table as simulated memory. The fetching machine keeps a one-entry memo
+//! of the last page it fetched from, which skips even that lookup while
+//! fetches stay on one page. This is purely
+//! a host-side optimization: it must never change what an address
+//! decodes to, so the cache distinguishes two slot origins:
 //!
 //! * **Static** slots mirror the loaded [`Program`]. The program shadows
 //!   simulated memory (the machine consults it first), so data writes
@@ -25,12 +28,9 @@
 //! if odd) always takes the slow path, which keeps one byte from ever
 //! belonging to two slots and makes write invalidation exact.
 
-use crate::fxmap::IntMap;
 use crate::isa::{Inst, Program, INST_SIZE};
+use crate::page_table::{PageTable, PAGE_SIZE};
 
-/// Slot-table pages are this many bytes of address space (matches the
-/// simulated memory's page size).
-const PAGE_SIZE: u64 = 4096;
 /// Instruction slots per page.
 const SLOTS_PER_PAGE: usize = (PAGE_SIZE / INST_SIZE) as usize;
 
@@ -46,17 +46,45 @@ enum Slot {
     Dynamic(Inst),
 }
 
-/// A page of predecoded slots.
-#[derive(Debug, Clone)]
-struct Page {
-    slots: Box<[Slot; SLOTS_PER_PAGE]>,
+impl Slot {
+    fn inst(self) -> Option<Inst> {
+        match self {
+            Slot::Empty => None,
+            Slot::Static(i) | Slot::Dynamic(i) => Some(i),
+        }
+    }
 }
 
-impl Page {
-    fn new() -> Self {
+/// A page of predecoded slots.
+type Page = Box<[Slot; SLOTS_PER_PAGE]>;
+
+/// The page a run of fetches last found, for [`CodeCache::lookup_memo`].
+///
+/// A memo is valid for the cache that filled it and for clones of that
+/// cache, until the cache is rebuilt: reset it whenever the cache it is
+/// used with is replaced by another.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PageMemo {
+    /// Page number (`pc / PAGE_SIZE`); `u64::MAX`, which no page has,
+    /// when empty.
+    page: u64,
+    /// The page's index in the cache's page table.
+    index: u32,
+}
+
+impl Default for PageMemo {
+    fn default() -> Self {
         Self {
-            slots: Box::new([Slot::Empty; SLOTS_PER_PAGE]),
+            page: u64::MAX,
+            index: 0,
         }
+    }
+}
+
+impl PageMemo {
+    /// Forgets the memoized page.
+    pub(crate) fn reset(&mut self) {
+        *self = Self::default();
     }
 }
 
@@ -77,12 +105,9 @@ impl Page {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CodeCache {
-    pages: Vec<Page>,
-    /// Page number (`addr / PAGE_SIZE`) → index into `pages`.
-    index: IntMap<u64, u32>,
-    /// One-entry cache of the last page hit (the common case: gate code
-    /// stays within one or two pages).
-    last: Option<(u64, u32)>,
+    /// Page number → slots. Pages are only added between rebuilds, so a
+    /// page's index stays valid until the next [`CodeCache::rebuild`].
+    pages: PageTable<Page>,
     /// Live dynamic-slot count. While it is zero (all code came from the
     /// static program — the common case), write invalidation and
     /// external-write drops are no-ops, so pure data stores never pay a
@@ -97,11 +122,10 @@ impl CodeCache {
     }
 
     /// Drops everything and predecodes `program` into static slots.
-    /// Unaligned program addresses are left to the slow path.
+    /// Unaligned program addresses are left to the slow path. Every page
+    /// memo filled from this cache must be reset.
     pub fn rebuild(&mut self, program: &Program) {
         self.pages.clear();
-        self.index.clear();
-        self.last = None;
         self.dynamic_slots = 0;
         for (pc, inst) in program.iter() {
             if pc.is_multiple_of(INST_SIZE) {
@@ -131,11 +155,32 @@ impl CodeCache {
         if !pc.is_multiple_of(INST_SIZE) {
             return None;
         }
-        let idx = self.page_of(pc / PAGE_SIZE)?;
-        match self.pages[idx as usize].slots[Self::slot_index(pc)] {
-            Slot::Empty => None,
-            Slot::Static(i) | Slot::Dynamic(i) => Some(i),
+        self.pages.get(pc / PAGE_SIZE)?[Self::slot_index(pc)].inst()
+    }
+
+    /// [`CodeCache::lookup`] through `memo`: while `pc` stays on the
+    /// memoized page no page-table lookup is made, and a lookup that
+    /// finds `pc`'s page memoizes it.
+    #[inline]
+    pub(crate) fn lookup_memo(&self, pc: u64, memo: &mut PageMemo) -> Option<Inst> {
+        if !pc.is_multiple_of(INST_SIZE) {
+            return None;
         }
+        let page = pc / PAGE_SIZE;
+        if page != memo.page {
+            *memo = self.memo_for(page)?;
+        }
+        self.pages.at(memo.index)[Self::slot_index(pc)].inst()
+    }
+
+    /// A memo of `page`, if the cache holds it. Kept out of line so the
+    /// memo hit in [`CodeCache::lookup_memo`] inlines into the fetch.
+    #[inline(never)]
+    fn memo_for(&self, page: u64) -> Option<PageMemo> {
+        Some(PageMemo {
+            page,
+            index: self.pages.index(page)?,
+        })
     }
 
     /// Installs a slow-path decoding of the static program's instruction
@@ -173,8 +218,8 @@ impl CodeCache {
         let mut slot_addr = addr - addr % INST_SIZE;
         let last = addr + (len - 1);
         while slot_addr <= last {
-            if let Some(idx) = self.page_of(slot_addr / PAGE_SIZE) {
-                let slot = &mut self.pages[idx as usize].slots[Self::slot_index(slot_addr)];
+            if let Some(page) = self.pages.get_mut(slot_addr / PAGE_SIZE) {
+                let slot = &mut page[Self::slot_index(slot_addr)];
                 if matches!(slot, Slot::Dynamic(_)) {
                     *slot = Slot::Empty;
                     self.dynamic_slots -= 1;
@@ -198,8 +243,8 @@ impl CodeCache {
             return;
         }
         self.dynamic_slots = 0;
-        for page in &mut self.pages {
-            for slot in page.slots.iter_mut() {
+        for page in self.pages.pages_mut() {
+            for slot in page.iter_mut() {
                 if matches!(slot, Slot::Dynamic(_)) {
                     *slot = Slot::Empty;
                 }
@@ -212,29 +257,11 @@ impl CodeCache {
         ((pc % PAGE_SIZE) / INST_SIZE) as usize
     }
 
-    #[inline]
-    fn page_of(&self, page_no: u64) -> Option<u32> {
-        if let Some((no, idx)) = self.last {
-            if no == page_no {
-                return Some(idx);
-            }
-        }
-        self.index.get(&page_no).copied()
-    }
-
     fn slot_mut(&mut self, pc: u64) -> &mut Slot {
-        let page_no = pc / PAGE_SIZE;
-        let idx = match self.page_of(page_no) {
-            Some(idx) => idx,
-            None => {
-                let idx = u32::try_from(self.pages.len()).expect("page count fits u32");
-                self.pages.push(Page::new());
-                self.index.insert(page_no, idx);
-                idx
-            }
-        };
-        self.last = Some((page_no, idx));
-        &mut self.pages[idx as usize].slots[Self::slot_index(pc)]
+        let page = self
+            .pages
+            .get_or_insert_with(pc / PAGE_SIZE, || Box::new([Slot::Empty; SLOTS_PER_PAGE]));
+        &mut page[Self::slot_index(pc)]
     }
 }
 

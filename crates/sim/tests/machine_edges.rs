@@ -417,6 +417,102 @@ fn self_modifying_store_is_seen_and_predecode_is_cycle_neutral() {
     assert_eq!(on, off, "predecode must not change results or cycles");
 }
 
+/// Self-modifying code above 4 GiB, where memory and the predecode cache
+/// leave the direct-indexed page range: an indirect jump reaches
+/// dynamically written code whose two instructions straddle a page
+/// boundary, a store overwrites the first, and the next jump must see the
+/// new decoding, with and without predecode, in the same cycles.
+#[test]
+fn self_modifying_code_above_4_gib() {
+    // The last slot of a page above 4 GiB; its `Halt` opens the next page.
+    const CODE_AT: u64 = (1 << 32) + 0x2000 - INST_SIZE;
+    let scenario = |predecode: bool| {
+        let mut m = Machine::new(
+            MachineConfig {
+                predecode,
+                ..MachineConfig::quiet()
+            },
+            0,
+        );
+        let mov = |imm| Inst::Mov {
+            dst: 5,
+            src: Operand::Imm(imm),
+        };
+        let mut bytes = mov(1).encode().to_vec();
+        bytes.extend_from_slice(&Inst::Halt.encode());
+        m.mem_mut().write_bytes(CODE_AT, &bytes);
+        m.mem_mut()
+            .write_u64(0x4000, u64::from_le_bytes(mov(2).encode()));
+        // 0x100: jump to the code; 0x200: patch its first instruction with
+        // the encoding parked at 0x4000, then jump to it.
+        let mut a = Assembler::new(0x100);
+        a.push(Inst::JmpInd { base: 1 });
+        let mut p = a.finish().unwrap();
+        let mut a = Assembler::new(0x200);
+        a.push(Inst::Load {
+            dst: 0,
+            addr: 0x4000,
+        });
+        a.push(Inst::StoreInd {
+            base: 1,
+            offset: 0,
+            src: 0,
+        });
+        a.push(Inst::JmpInd { base: 1 });
+        p.merge(a.finish().unwrap());
+        m.load_program(p);
+        m.set_reg(1, CODE_AT);
+
+        let mut seen = Vec::new();
+        for entry in [0x100, 0x100, 0x200, 0x100] {
+            assert_eq!(m.run_at(entry), RunOutcome::Halted);
+            seen.push(m.reg(5));
+        }
+        (seen, m.cycles())
+    };
+    let on = scenario(true);
+    assert_eq!(on.0, [1, 1, 2, 2], "the overwrite is fetched, and kept");
+    assert_eq!(
+        on,
+        scenario(false),
+        "predecode must not change results or cycles"
+    );
+}
+
+/// A restore re-points the predecode cache at the snapshot's, so the
+/// fetch's page memo must be dropped with it. Here the memo from the
+/// machine's own cache names page index 0 for `PC`'s page, while in the
+/// snapshot's cache index 0 is another page: a surviving memo would fetch
+/// that page's instruction in place of the snapshot's.
+#[test]
+fn a_restore_drops_the_fetch_page_memo() {
+    const PC: u64 = 0x5000;
+    const OTHER: u64 = 0x9000;
+    let stub = |at: u64, imm: u32| {
+        let mut a = Assembler::new(at);
+        a.push(Inst::Mov {
+            dst: 5,
+            src: Operand::Imm(imm),
+        });
+        a.push(Inst::Halt);
+        a.finish().unwrap()
+    };
+    // The snapshot's cache installs `OTHER`'s page first (index 0), then
+    // `PC`'s (index 1).
+    let mut s = quiet();
+    s.load_program(stub(OTHER, 2));
+    s.add_program(stub(PC, 1));
+    let snap = s.snapshot();
+
+    let mut m = quiet();
+    m.load_program(stub(PC, 3));
+    assert_eq!(m.run_at(PC), RunOutcome::Halted);
+    assert_eq!(m.reg(5), 3, "the memo now holds PC's page at index 0");
+    m.restore_from(&snap);
+    assert_eq!(m.run_at(PC), RunOutcome::Halted);
+    assert_eq!(m.reg(5), 1, "the snapshot's instruction at PC");
+}
+
 /// The VMX warm-up window is visible from program timing (VMX-WR).
 #[test]
 fn vmx_warm_vs_cold_program_timing() {

@@ -171,6 +171,121 @@ fn memory_semantics() {
     }
 }
 
+/// Page numbers the memory model draws from: both sides of a directory
+/// leaf edge, of the 4 GiB direct-indexed range and far above it.
+const MODEL_PAGES: [u64; 8] = [
+    0,
+    1,
+    0x3ff,
+    0x400,
+    0xf_ffff,
+    0x10_0000,
+    0x10_0001,
+    0x1234_5678,
+];
+
+/// An address on one of [`MODEL_PAGES`], a third of the time within 8
+/// bytes of the page end so multi-byte accesses straddle into the next.
+fn model_addr(rng: &mut StdRng) -> u64 {
+    let page = MODEL_PAGES[rng.gen_range(0..MODEL_PAGES.len())];
+    let offset = if rng.gen_range(0..3u32) == 0 {
+        4096 - rng.gen_range(1..=8u64)
+    } else {
+        rng.gen_range(0..4096u64)
+    };
+    (page << 12) + offset
+}
+
+type PageModel = std::collections::HashMap<u64, [u8; 4096]>;
+
+fn model_write(model: &mut PageModel, addr: u64, bytes: &[u8]) {
+    for (i, &b) in bytes.iter().enumerate() {
+        let a = addr + i as u64;
+        model.entry(a >> 12).or_insert([0; 4096])[(a & 4095) as usize] = b;
+    }
+}
+
+fn model_read(model: &PageModel, addr: u64, len: usize) -> Vec<u8> {
+    (addr..addr + len as u64)
+        .map(|a| model.get(&(a >> 12)).map_or(0, |p| p[(a & 4095) as usize]))
+        .collect()
+}
+
+/// `Memory` against a `HashMap<page, [u8; 4096]>` reference: seeded
+/// random byte, word and slice writes and reads (page-straddling ones
+/// included, above 4 GiB too) on three memories, and restores of one onto
+/// another — onto memories with more pages, fewer pages, or the same
+/// pages first written in another order.
+#[test]
+fn memory_matches_a_page_map_model() {
+    let mut rng = StdRng::seed_from_u64(0x150_0009);
+    for case in 0..CASES / 4 {
+        let mut mems: [(Memory, PageModel); 3] = Default::default();
+        for op in 0..200 {
+            let what = format!("case {case} op {op}");
+            let i = rng.gen_range(0..mems.len());
+            let addr = model_addr(&mut rng);
+            match rng.gen_range(0..8u32) {
+                0 => {
+                    let b = rng.gen::<u8>();
+                    mems[i].0.write_u8(addr, b);
+                    model_write(&mut mems[i].1, addr, &[b]);
+                }
+                1 | 2 => {
+                    let v = rng.gen::<u64>();
+                    mems[i].0.write_u64(addr, v);
+                    model_write(&mut mems[i].1, addr, &v.to_le_bytes());
+                }
+                3 => {
+                    let mut bytes = vec![0u8; rng.gen_range(0..24usize)];
+                    rng.fill(&mut bytes[..]);
+                    mems[i].0.write_bytes(addr, &bytes);
+                    model_write(&mut mems[i].1, addr, &bytes);
+                }
+                4 => {
+                    let (m, model) = &mems[i];
+                    assert_eq!(vec![m.read_u8(addr)], model_read(model, addr, 1), "{what}");
+                    let word = m.read_u64(addr).to_le_bytes();
+                    assert_eq!(word.to_vec(), model_read(model, addr, 8), "{what}");
+                    let arr = m.read_array::<8>(addr);
+                    assert_eq!(arr.to_vec(), model_read(model, addr, 8), "{what}");
+                    let len = rng.gen_range(0..24usize);
+                    assert_eq!(
+                        m.read_bytes(addr, len),
+                        model_read(model, addr, len),
+                        "{what}"
+                    );
+                }
+                _ => {
+                    let j = rng.gen_range(0..mems.len());
+                    let snap = mems[j].clone();
+                    mems[i].0.restore_from(&snap.0);
+                    mems[i].1 = snap.1;
+                }
+            }
+            let (m, model) = &mems[i];
+            assert_eq!(m.resident_pages(), model.len(), "{what}: resident pages");
+        }
+        for (i, (m, model)) in mems.iter().enumerate() {
+            for &page in model.keys() {
+                let addr = page << 12;
+                assert_eq!(
+                    m.read_bytes(addr, 4096),
+                    model_read(model, addr, 4096),
+                    "case {case}: memory {i}, page {page:#x}"
+                );
+            }
+            for (j, (other, other_model)) in mems.iter().enumerate() {
+                assert_eq!(
+                    m == other,
+                    model == other_model,
+                    "case {case}: memories {i} and {j} compare unlike their models"
+                );
+            }
+        }
+    }
+}
+
 /// Cache invariant: immediately after an access, the line is present;
 /// after a flush, it is absent — under any interleaving.
 #[test]
