@@ -2,10 +2,60 @@
 //! scale with the table binaries' own seeds and samplers. Claims that do
 //! not hold are recorded as deviations in EXPERIMENTS.md instead.
 
-use uwm_bench::{gate_performance_sharded, sharded_delays};
+use uwm_bench::stats::Summary;
+use uwm_bench::{gate_performance_sharded, sharded_delays, trigger_distribution_sharded};
 use uwm_core::gate::GateKind;
 use uwm_core::skelly::Skelly;
 use uwm_rng::Rng;
+
+/// Table 2: every BP/IC gate is more accurate than every TSX gate, and
+/// TSX_XOR is the least accurate. `table2`'s gates and seeds, at 2 % of
+/// its 1 000 000 ops per gate.
+#[test]
+fn table2_bp_ic_gates_beat_tsx_gates_with_xor_lowest() {
+    let gates = [
+        GateKind::And,
+        GateKind::Or,
+        GateKind::Nand,
+        GateKind::AndAndOr,
+        GateKind::TxAnd,
+        GateKind::TxOr,
+        GateKind::TxAssign,
+        GateKind::TxXor,
+    ];
+    let accuracy: Vec<f64> = gates
+        .iter()
+        .enumerate()
+        .map(|(i, &kind)| {
+            gate_performance_sharded(kind, 20_000, 0x72 + i as u64, 2)
+                .run
+                .accuracy()
+        })
+        .collect();
+    let (bp_ic, tsx) = accuracy.split_at(4);
+    let worst_bp_ic = bp_ic.iter().copied().fold(f64::INFINITY, f64::min);
+    let best_tsx = tsx.iter().copied().fold(0.0, f64::max);
+    assert!(
+        worst_bp_ic > best_tsx,
+        "BP/IC {bp_ic:?} must all beat TSX {tsx:?}"
+    );
+    let xor = tsx[3];
+    assert!(
+        tsx[..3].iter().all(|&a| a > xor),
+        "TSX_XOR must be the least accurate: {tsx:?}"
+    );
+}
+
+/// Table 3: the median experiment needs 5–10 wm_apt trigger pings (paper
+/// ≈ 6). `table3_fig6`'s full-scale arguments: at 10 % scale the median
+/// of 10 experiments reads 28, so this claim needs all 100.
+#[test]
+fn table3_median_trigger_count_lies_in_five_to_ten() {
+    let counts = trigger_distribution_sharded(100, 500, 0x36, 2);
+    let samples: Vec<u64> = counts.iter().map(|&c| u64::from(c)).collect();
+    let median = Summary::from_samples(&samples).median;
+    assert!((5..=10).contains(&median), "median {median} triggers");
+}
 
 /// Table 8: every TSX gate is 92–99 % accurate, and XOR is the least
 /// accurate. `table8`'s seeds, at 5 % of its 64 000 ops per gate.

@@ -516,13 +516,7 @@ impl Circuit {
         s: &mut S,
         input_bits: &[bool],
     ) -> Result<Vec<GateReading>> {
-        if input_bits.len() != self.plan.input_addrs.len() {
-            return Err(CoreError::Arity {
-                gate: "circuit",
-                expected: self.plan.input_addrs.len(),
-                got: input_bits.len(),
-            });
-        }
+        self.check_inputs(input_bits)?;
         for p in &self.plan.preps {
             set_dc(s, p.addr, p.preset);
         }
@@ -543,11 +537,12 @@ impl Circuit {
     /// Reference (architectural) evaluation of the circuit's function —
     /// ground truth for accuracy measurements.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `input_bits.len()` differs from the declared inputs.
-    pub fn eval_reference(&self, input_bits: &[bool]) -> Vec<bool> {
-        assert_eq!(input_bits.len(), self.plan.inputs.len());
+    /// Returns [`CoreError::Arity`] if `input_bits.len()` differs from the
+    /// declared inputs.
+    pub fn eval_reference(&self, input_bits: &[bool]) -> Result<Vec<bool>> {
+        self.check_inputs(input_bits)?;
         let mut bits = vec![false; self.plan.wires.len()];
         for (w, &b) in self.plan.inputs.iter().zip(input_bits) {
             bits[w.0] = b;
@@ -555,7 +550,21 @@ impl Circuit {
         for step in &self.plan.steps {
             step.eval(&mut bits);
         }
-        self.plan.outputs.iter().map(|w| bits[w.0]).collect()
+        Ok(self.plan.outputs.iter().map(|w| bits[w.0]).collect())
+    }
+
+    /// Rejects an input slice whose length differs from the declared
+    /// inputs.
+    fn check_inputs(&self, input_bits: &[bool]) -> Result<()> {
+        if input_bits.len() == self.plan.input_addrs.len() {
+            Ok(())
+        } else {
+            Err(CoreError::Arity {
+                gate: "circuit",
+                expected: self.plan.input_addrs.len(),
+                got: input_bits.len(),
+            })
+        }
     }
 }
 
@@ -710,7 +719,7 @@ mod tests {
                 let inputs: Vec<bool> = (0..c.input_count()).map(|_| rng.gen()).collect();
                 assert_eq!(
                     c.run(&mut m, &inputs).unwrap(),
-                    c.eval_reference(&inputs),
+                    c.eval_reference(&inputs).unwrap(),
                     "seed {seed}, inputs {inputs:?}"
                 );
             }
@@ -840,6 +849,10 @@ mod tests {
         let c = cb.finish().unwrap().instantiate(&mut m);
         assert!(matches!(
             c.run(&mut m, &[true, false]),
+            Err(CoreError::Arity { .. })
+        ));
+        assert!(matches!(
+            c.eval_reference(&[true, false]),
             Err(CoreError::Arity { .. })
         ));
     }

@@ -364,8 +364,8 @@ pub(crate) fn set_dc<S: Substrate + ?Sized>(s: &mut S, addr: u64, bit: bool) {
 /// Reads a gate or circuit output: one timed load, decoded as 1 when it
 /// is faster than `threshold` — the value
 /// [`calibrate_threshold`] measured on this backend. The one place a gate
-/// or circuit read delay becomes a bit; the weird registers of
-/// [`crate::reg`] still decode against fixed thresholds of their own.
+/// or circuit read delay becomes a bit. A [`crate::reg::DcWr`] times the
+/// same load and decodes it against the same calibrated threshold.
 pub(crate) fn read_out<S: Substrate + ?Sized>(s: &mut S, out: u64, threshold: u64) -> GateReading {
     let delay = s.timed_read_tsc(out);
     GateReading {

@@ -1,10 +1,11 @@
 //! Predictor-state weird registers: BP-WR (direction) and BTB-WR (target).
 
 use crate::error::Result;
+use crate::gate::bp::TRAIN_ITERS;
 use crate::layout::Layout;
-use crate::reg::WeirdRegister;
+use crate::reg::{calibrate, install_stub, time_stub, Bound, WeirdRegister};
 use crate::substrate::Substrate;
-use uwm_sim::isa::{Assembler, Inst};
+use uwm_sim::isa::Inst;
 
 /// Branch-direction-predictor weird register (Table 1, BranchScope-style).
 ///
@@ -16,8 +17,7 @@ use uwm_sim::isa::{Assembler, Inst};
 pub struct BpWr {
     branch_pc: u64,
     cond: u64,
-    threshold: u64,
-    train_iters: u32,
+    bound: Bound,
 }
 
 impl BpWr {
@@ -26,56 +26,45 @@ impl BpWr {
     /// # Errors
     ///
     /// Fails on layout exhaustion or assembly error.
-    pub fn build<S: Substrate + ?Sized>(s: &mut S, lay: &mut Layout) -> Result<Self> {
+    pub fn build(s: &mut dyn Substrate, lay: &mut Layout) -> Result<Self> {
         let cond = lay.alloc_var()?;
-        let branch_pc = lay.alloc_app_code(64)?;
-        let mut a = Assembler::new(branch_pc);
         // Taken target == fall-through: both land on the Halt; only the
         // predictor outcome differs.
-        a.push(Inst::Brz {
+        let branch = Inst::Brz {
             cond_addr: cond as u32,
             rel: 0,
-        });
-        a.push(Inst::Halt);
-        s.install_program(a.finish()?);
-        s.warm_code_range(branch_pc, branch_pc + 16);
-        Ok(Self {
-            branch_pc,
+        };
+        let mut r = Self {
+            branch_pc: install_stub(s, lay, &[branch])?,
             cond,
-            threshold: 20,
-            train_iters: 4,
-        })
+            bound: Bound::default(),
+        };
+        r.bound = calibrate(s, &r);
+        Ok(r)
     }
 
-    /// Address of the branch carrying the state (for aliasing experiments).
-    pub fn branch_pc(&self) -> u64 {
-        self.branch_pc
-    }
-
-    fn run_branch<S: Substrate + ?Sized>(&self, s: &mut S, cond_value: u64) {
-        s.write_word(self.cond, cond_value);
-        s.timed_read(self.cond); // keep resolution fast: warm condition
-        s.run_at(self.branch_pc);
+    /// Sets the condition (non-zero = not taken), cached so it resolves fast.
+    fn set_cond(&self, s: &mut dyn Substrate, not_taken: bool) {
+        s.write_word(self.cond, u64::from(not_taken));
+        s.timed_read(self.cond);
     }
 }
 
 impl WeirdRegister for BpWr {
     fn write(&self, s: &mut dyn Substrate, bit: bool) {
-        // bit=1 → train not-taken (condition non-zero); bit=0 → taken.
-        let v = if bit { 1 } else { 0 };
-        for _ in 0..self.train_iters {
-            self.run_branch(s, v);
+        for _ in 0..TRAIN_ITERS {
+            self.set_cond(s, bit);
+            s.run_at(self.branch_pc);
         }
     }
 
-    fn read(&self, s: &mut dyn Substrate) -> bool {
-        // Execute not-taken and time it: fast ⇒ predictor agreed ⇒ bit 1.
-        s.write_word(self.cond, 1);
-        s.timed_read(self.cond);
-        let before = s.cycles();
-        s.run_at(self.branch_pc);
-        let delay = s.cycles() - before;
-        delay < self.threshold
+    fn read_delay(&self, s: &mut dyn Substrate) -> u64 {
+        self.set_cond(s, true);
+        time_stub(s, self.branch_pc)
+    }
+
+    fn bound(&self) -> Bound {
+        self.bound
     }
 
     fn name(&self) -> &'static str {
@@ -94,7 +83,7 @@ pub struct BtbWr {
     jmp_pc: u64,
     target_b: u64,
     target_c: u64,
-    threshold: u64,
+    bound: Bound,
 }
 
 /// Scratch register the jump stub reads its target from.
@@ -106,33 +95,22 @@ impl BtbWr {
     /// # Errors
     ///
     /// Fails on layout exhaustion or assembly error.
-    pub fn build<S: Substrate + ?Sized>(s: &mut S, lay: &mut Layout) -> Result<Self> {
-        let jmp_pc = lay.alloc_app_code(64)?;
-        let target_b = lay.alloc_app_code(64)?;
-        let target_c = lay.alloc_app_code(64)?;
-        let mut a = Assembler::new(jmp_pc);
-        a.push(Inst::JmpInd { base: TARGET_REG });
-        s.install_program(a.finish()?);
-        for t in [target_b, target_c] {
-            let mut a = Assembler::new(t);
-            a.push(Inst::Halt);
-            s.install_program(a.finish()?);
-        }
-        Ok(Self {
-            jmp_pc,
-            target_b,
-            target_c,
-            threshold: 8,
-        })
+    pub fn build(s: &mut dyn Substrate, lay: &mut Layout) -> Result<Self> {
+        let mut r = Self {
+            jmp_pc: install_stub(s, lay, &[Inst::JmpInd { base: TARGET_REG }])?,
+            target_b: install_stub(s, lay, &[])?,
+            target_c: install_stub(s, lay, &[])?,
+            bound: Bound::default(),
+        };
+        r.bound = calibrate(s, &r);
+        Ok(r)
     }
 
-    fn jump_to<S: Substrate + ?Sized>(&self, s: &mut S, target: u64) -> u64 {
+    /// Times a jump to `target`, both code lines cached: only the BTB shows.
+    fn jump_to(&self, s: &mut dyn Substrate, target: u64) -> u64 {
         s.set_reg(TARGET_REG, target);
-        s.touch_code(self.jmp_pc); // isolate the BTB effect from I-cache state
         s.touch_code(target);
-        let before = s.cycles();
-        s.run_at(self.jmp_pc);
-        s.cycles() - before
+        time_stub(s, self.jmp_pc)
     }
 }
 
@@ -142,10 +120,12 @@ impl WeirdRegister for BtbWr {
         self.jump_to(s, target);
     }
 
-    fn read(&self, s: &mut dyn Substrate) -> bool {
-        // Jump to B: fast ⇒ BTB held B ⇒ bit 0; slow ⇒ held C ⇒ bit 1.
-        let delay = self.jump_to(s, self.target_b);
-        delay >= self.threshold + 2 * s.latency().l1 + s.latency().alu
+    fn read_delay(&self, s: &mut dyn Substrate) -> u64 {
+        self.jump_to(s, self.target_b)
+    }
+
+    fn bound(&self) -> Bound {
+        self.bound
     }
 
     fn name(&self) -> &'static str {

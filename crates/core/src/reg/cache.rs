@@ -1,24 +1,21 @@
 //! Cache-residency weird registers: DC-WR and IC-WR.
 
 use crate::error::Result;
+use crate::gate::set_dc;
 use crate::layout::Layout;
-use crate::reg::{delay_to_bit, WeirdRegister};
+use crate::reg::{calibrate, install_stub, Bound, WeirdRegister};
+use crate::skelly::calibrate_threshold;
 use crate::substrate::Substrate;
-use uwm_sim::isa::{Assembler, Inst};
-
-/// Default hit/miss decision threshold in cycles. Roughly midway between
-/// an L1 hit and a DRAM miss; [`crate::skelly::calibrate_threshold`]
-/// computes a machine-specific value.
-pub const DEFAULT_THRESHOLD: u64 = 100;
 
 /// Data-cache weird register (§3.1's running example).
 ///
 /// The bit is the L1-residency of a private variable: `flush` writes 0,
 /// a load writes 1, and a timed load reads the bit (destroying a stored 0).
+/// It is written, read and calibrated exactly like a gate output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DcWr {
     addr: u64,
-    threshold: u64,
+    bound: Bound,
 }
 
 impl DcWr {
@@ -27,37 +24,38 @@ impl DcWr {
     /// # Errors
     ///
     /// Fails when the variable region is exhausted.
-    pub fn build<S: Substrate + ?Sized>(_s: &mut S, lay: &mut Layout) -> Result<Self> {
-        Ok(Self::at(lay.alloc_var()?, DEFAULT_THRESHOLD))
+    pub fn build(s: &mut dyn Substrate, lay: &mut Layout) -> Result<Self> {
+        Ok(Self::at(s, lay.alloc_var()?))
     }
 
-    /// Wraps an existing line-aligned variable address.
-    pub fn at(addr: u64, threshold: u64) -> Self {
-        Self { addr, threshold }
+    /// Wraps an existing line-aligned variable address, calibrating its
+    /// bound on `s`. Calibration leaves the line cached (a stored 1).
+    pub fn at(s: &mut dyn Substrate, addr: u64) -> Self {
+        let bound = Bound {
+            threshold: calibrate_threshold(s, addr),
+            one_is_fast: true,
+        };
+        Self { addr, bound }
     }
 
     /// The variable's address (used to wire gates to this register).
     pub fn addr(&self) -> u64 {
         self.addr
     }
-
-    /// Raw timed-read delay (the Figure 7/8 measurement primitive).
-    pub fn read_delay<S: Substrate + ?Sized>(&self, s: &mut S) -> u64 {
-        s.timed_read(self.addr)
-    }
 }
 
 impl WeirdRegister for DcWr {
     fn write(&self, s: &mut dyn Substrate, bit: bool) {
-        if bit {
-            s.timed_read(self.addr);
-        } else {
-            s.flush_addr(self.addr);
-        }
+        set_dc(s, self.addr, bit);
     }
 
-    fn read(&self, s: &mut dyn Substrate) -> bool {
-        delay_to_bit(self.read_delay(s), self.threshold)
+    /// The `rdtscp`-bracketed load a gate output read times.
+    fn read_delay(&self, s: &mut dyn Substrate) -> u64 {
+        s.timed_read_tsc(self.addr)
+    }
+
+    fn bound(&self) -> Bound {
+        self.bound
     }
 
     fn name(&self) -> &'static str {
@@ -73,7 +71,7 @@ impl WeirdRegister for DcWr {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IcWr {
     code_addr: u64,
-    threshold: u64,
+    bound: Bound,
 }
 
 impl IcWr {
@@ -82,35 +80,13 @@ impl IcWr {
     /// # Errors
     ///
     /// Fails if layout space is exhausted or assembly fails.
-    pub fn build<S: Substrate + ?Sized>(s: &mut S, lay: &mut Layout) -> Result<Self> {
-        let code_addr = lay.alloc_app_code(64)?;
-        let mut a = Assembler::new(code_addr);
-        a.push(Inst::Halt); // `call code` lands here and returns immediately
-        s.install_program(a.finish()?);
-        Ok(Self {
-            code_addr,
-            threshold: DEFAULT_THRESHOLD,
-        })
-    }
-
-    /// Wraps an existing code line.
-    pub fn at(code_addr: u64, threshold: u64) -> Self {
-        Self {
-            code_addr,
-            threshold,
-        }
-    }
-
-    /// Address of the code line carrying the bit.
-    pub fn code_addr(&self) -> u64 {
-        self.code_addr
-    }
-
-    /// Raw timed code-fetch delay.
-    pub fn read_delay<S: Substrate + ?Sized>(&self, s: &mut S) -> u64 {
-        let before = s.cycles();
-        s.touch_code(self.code_addr);
-        s.cycles() - before
+    pub fn build(s: &mut dyn Substrate, lay: &mut Layout) -> Result<Self> {
+        let mut r = Self {
+            code_addr: install_stub(s, lay, &[])?,
+            bound: Bound::default(),
+        };
+        r.bound = calibrate(s, &r);
+        Ok(r)
     }
 }
 
@@ -123,8 +99,14 @@ impl WeirdRegister for IcWr {
         }
     }
 
-    fn read(&self, s: &mut dyn Substrate) -> bool {
-        delay_to_bit(self.read_delay(s), self.threshold)
+    fn read_delay(&self, s: &mut dyn Substrate) -> u64 {
+        let before = s.cycles();
+        s.touch_code(self.code_addr);
+        s.cycles() - before
+    }
+
+    fn bound(&self) -> Bound {
+        self.bound
     }
 
     fn name(&self) -> &'static str {

@@ -6,9 +6,9 @@
 
 use crate::error::Result;
 use crate::layout::Layout;
-use crate::reg::WeirdRegister;
+use crate::reg::{calibrate, install_stub, time_stub, Bound, WeirdRegister};
 use crate::substrate::Substrate;
-use uwm_sim::isa::{Assembler, Inst, Operand};
+use uwm_sim::isa::{Inst, Operand};
 
 /// Multiplier-port contention weird register.
 ///
@@ -19,7 +19,7 @@ use uwm_sim::isa::{Assembler, Inst, Operand};
 pub struct MulWr {
     burst_pc: u64,
     probe_pc: u64,
-    threshold: u64,
+    bound: Bound,
 }
 
 /// `mul` instructions issued per write-1 burst.
@@ -31,37 +31,19 @@ impl MulWr {
     /// # Errors
     ///
     /// Fails on layout exhaustion or assembly error.
-    pub fn build<S: Substrate + ?Sized>(s: &mut S, lay: &mut Layout) -> Result<Self> {
-        let burst_pc = lay.alloc_app_code((MUL_BURST as u64 + 1) * 8)?;
-        let mut a = Assembler::new(burst_pc);
-        for _ in 0..MUL_BURST {
-            a.push(Inst::Mul {
-                dst: 1,
-                a: 1,
-                b: Operand::Imm(3),
-            });
-        }
-        a.push(Inst::Halt);
-        let burst_end = a.pc();
-        s.install_program(a.finish()?);
-        s.warm_code_range(burst_pc, burst_end);
-
-        let probe_pc = lay.alloc_app_code(64)?;
-        let mut a = Assembler::new(probe_pc);
-        a.push(Inst::Mul {
-            dst: 2,
-            a: 2,
+    pub fn build(s: &mut dyn Substrate, lay: &mut Layout) -> Result<Self> {
+        let mul = |r| Inst::Mul {
+            dst: r,
+            a: r,
             b: Operand::Imm(3),
-        });
-        a.push(Inst::Halt);
-        s.install_program(a.finish()?);
-        s.warm_code_range(probe_pc, probe_pc + 16);
-
-        Ok(Self {
-            burst_pc,
-            probe_pc,
-            threshold: 30,
-        })
+        };
+        let mut r = Self {
+            burst_pc: install_stub(s, lay, &[mul(1); MUL_BURST])?,
+            probe_pc: install_stub(s, lay, &[mul(2)])?,
+            bound: Bound::default(),
+        };
+        r.bound = calibrate(s, &r);
+        Ok(r)
     }
 }
 
@@ -75,11 +57,12 @@ impl WeirdRegister for MulWr {
         }
     }
 
-    fn read(&self, s: &mut dyn Substrate) -> bool {
-        s.touch_code(self.probe_pc); // isolate contention from I-cache state
-        let before = s.cycles();
-        s.run_at(self.probe_pc);
-        s.cycles() - before >= self.threshold
+    fn read_delay(&self, s: &mut dyn Substrate) -> u64 {
+        time_stub(s, self.probe_pc)
+    }
+
+    fn bound(&self) -> Bound {
+        self.bound
     }
 
     fn name(&self) -> &'static str {
@@ -98,11 +81,11 @@ pub struct RobWr {
     probe_pc: u64,
     /// First of the miss-target variables (one line each).
     targets: u64,
-    threshold: u64,
+    bound: Bound,
 }
 
 /// Cache-missing loads per write-1 burst.
-const ROB_BURST: usize = 8;
+const ROB_BURST: u64 = 8;
 
 impl RobWr {
     /// Builds the burst/probe stubs and their private miss targets.
@@ -110,37 +93,23 @@ impl RobWr {
     /// # Errors
     ///
     /// Fails on layout exhaustion or assembly error.
-    pub fn build<S: Substrate + ?Sized>(s: &mut S, lay: &mut Layout) -> Result<Self> {
+    pub fn build(s: &mut dyn Substrate, lay: &mut Layout) -> Result<Self> {
         let targets = lay.alloc_var()?;
-        for _ in 1..ROB_BURST {
-            lay.alloc_var()?; // reserve the rest of the line run
-        }
-        let burst_pc = lay.alloc_app_code((ROB_BURST as u64 + 1) * 8)?;
-        let mut a = Assembler::new(burst_pc);
-        for i in 0..ROB_BURST {
-            a.push(Inst::Load {
+        (1..ROB_BURST).try_for_each(|_| lay.alloc_var().map(drop))?; // the rest of the run
+        let loads: Vec<Inst> = (0..ROB_BURST)
+            .map(|i| Inst::Load {
                 dst: 1,
-                addr: (targets + i as u64 * 64) as u32,
-            });
-        }
-        a.push(Inst::Halt);
-        let burst_end = a.pc();
-        s.install_program(a.finish()?);
-        s.warm_code_range(burst_pc, burst_end);
-
-        let probe_pc = lay.alloc_app_code(64)?;
-        let mut a = Assembler::new(probe_pc);
-        a.push(Inst::Fence);
-        a.push(Inst::Halt);
-        s.install_program(a.finish()?);
-        s.warm_code_range(probe_pc, probe_pc + 16);
-
-        Ok(Self {
-            burst_pc,
-            probe_pc,
+                addr: (targets + i * 64) as u32,
+            })
+            .collect();
+        let mut r = Self {
+            burst_pc: install_stub(s, lay, &loads)?,
+            probe_pc: install_stub(s, lay, &[Inst::Fence])?,
             targets,
-            threshold: 150,
-        })
+            bound: Bound::default(),
+        };
+        r.bound = calibrate(s, &r);
+        Ok(r)
     }
 }
 
@@ -148,7 +117,7 @@ impl WeirdRegister for RobWr {
     fn write(&self, s: &mut dyn Substrate, bit: bool) {
         if bit {
             // Ensure the loads actually miss: flush the targets first.
-            for i in 0..ROB_BURST as u64 {
+            for i in 0..ROB_BURST {
                 s.flush_addr(self.targets + i * 64);
             }
             s.run_at(self.burst_pc);
@@ -158,11 +127,12 @@ impl WeirdRegister for RobWr {
         }
     }
 
-    fn read(&self, s: &mut dyn Substrate) -> bool {
-        s.touch_code(self.probe_pc);
-        let before = s.cycles();
-        s.run_at(self.probe_pc);
-        s.cycles() - before >= self.threshold
+    fn read_delay(&self, s: &mut dyn Substrate) -> u64 {
+        time_stub(s, self.probe_pc)
+    }
+
+    fn bound(&self) -> Bound {
+        self.bound
     }
 
     fn name(&self) -> &'static str {
@@ -177,7 +147,7 @@ impl WeirdRegister for RobWr {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VmxWr {
     probe_pc: u64,
-    threshold: u64,
+    bound: Bound,
 }
 
 impl VmxWr {
@@ -186,17 +156,13 @@ impl VmxWr {
     /// # Errors
     ///
     /// Fails on layout exhaustion or assembly error.
-    pub fn build<S: Substrate + ?Sized>(s: &mut S, lay: &mut Layout) -> Result<Self> {
-        let probe_pc = lay.alloc_app_code(64)?;
-        let mut a = Assembler::new(probe_pc);
-        a.push(Inst::Vmx);
-        a.push(Inst::Halt);
-        s.install_program(a.finish()?);
-        s.warm_code_range(probe_pc, probe_pc + 16);
-        Ok(Self {
-            probe_pc,
-            threshold: 200,
-        })
+    pub fn build(s: &mut dyn Substrate, lay: &mut Layout) -> Result<Self> {
+        let mut r = Self {
+            probe_pc: install_stub(s, lay, &[Inst::Vmx])?,
+            bound: Bound::default(),
+        };
+        r.bound = calibrate(s, &r);
+        Ok(r)
     }
 }
 
@@ -209,12 +175,12 @@ impl WeirdRegister for VmxWr {
         }
     }
 
-    fn read(&self, s: &mut dyn Substrate) -> bool {
-        s.touch_code(self.probe_pc);
-        let before = s.cycles();
-        s.run_at(self.probe_pc);
-        // Warm = fast = bit 1.
-        s.cycles() - before < self.threshold
+    fn read_delay(&self, s: &mut dyn Substrate) -> u64 {
+        time_stub(s, self.probe_pc)
+    }
+
+    fn bound(&self) -> Bound {
+        self.bound
     }
 
     fn name(&self) -> &'static str {

@@ -34,10 +34,9 @@ fn two_block_hash_matches_reference() {
 
 /// Under default noise with the paper's redundancy, the hash still comes
 /// out right and the per-gate vote accuracy is 1.0 — the Table 4 claim.
-/// Expensive (50 raw executions per logical gate); run with `--ignored`
-/// or via the `table4` binary.
+/// The suite's slowest test: 50 raw executions per logical gate, a few
+/// seconds at the test profile.
 #[test]
-#[ignore = "several minutes: full noisy hash at paper redundancy (s=10,k=3,n=5)"]
 fn noisy_hash_with_paper_redundancy_is_correct() {
     let mut sk = Skelly::new(MachineConfig::default(), 103).unwrap();
     sk.set_redundancy(Redundancy::paper());

@@ -23,12 +23,12 @@ fn register_and_gate_layers_share_state() {
     let gate = TsxGate::spec_wired(GateKind::TxAssign, &mut lay, &[input], &[out])
         .unwrap()
         .instantiate(&mut m);
-    let reg = DcWr::at(input, 100);
+    let reg = DcWr::at(&mut m, input);
+    let out_reg = DcWr::at(&mut m, out);
 
     reg.write(&mut m, true);
     gate.prepare(&mut m);
     gate.activate(&mut m);
-    let out_reg = DcWr::at(out, 100);
     assert!(out_reg.read(&mut m), "gate consumed the register's bit");
 }
 

@@ -422,7 +422,7 @@ fn random_circuits_match_reference() {
             let inputs: Vec<bool> = (0..n_inputs).map(|i| bits >> i & 1 == 1).collect();
             assert_eq!(
                 circuit.run(&mut m, &inputs).unwrap(),
-                circuit.eval_reference(&inputs),
+                circuit.eval_reference(&inputs).unwrap(),
                 "seed {seed}, inputs {inputs:?}"
             );
         }
