@@ -24,11 +24,9 @@ pub use contention::{MulWr, RobWr, VmxWr};
 
 use crate::error::Result;
 use crate::layout::Layout;
+use crate::skelly::{median, CALIBRATION_SAMPLES};
 use crate::substrate::Substrate;
 use uwm_sim::isa::{Assembler, Inst, INST_SIZE};
-
-/// Probes [`calibrate`] takes per written value (odd: a real median).
-const CALIBRATION_PROBES: usize = 33;
 
 /// A one-bit storage entity encoded in microarchitectural state.
 ///
@@ -93,17 +91,14 @@ impl Bound {
 /// the median probe after writing 0 and the median after writing 1, and
 /// logic 1 is on the faster median's side.
 pub fn calibrate(s: &mut dyn Substrate, reg: &dyn WeirdRegister) -> Bound {
-    let mut probes = [[0; CALIBRATION_PROBES]; 2];
-    for i in 0..CALIBRATION_PROBES {
+    let mut probes = [[0; CALIBRATION_SAMPLES]; 2];
+    for i in 0..CALIBRATION_SAMPLES {
         for (bit, p) in probes.iter_mut().enumerate() {
             reg.write(s, bit == 1);
             p[i] = reg.read_delay(s);
         }
     }
-    let [zero, one] = probes.map(|mut p| {
-        p.sort_unstable();
-        p[CALIBRATION_PROBES / 2]
-    });
+    let [zero, one] = probes.map(median);
     Bound {
         threshold: zero.min(one) + zero.abs_diff(one) / 2,
         one_is_fast: one < zero,

@@ -22,9 +22,16 @@ use crate::layout::Layout;
 use crate::substrate::{Substrate, DEFAULT_ALIAS_STRIDE};
 use uwm_sim::machine::{Machine, MachineConfig};
 
-/// Timed misses and hits [`calibrate_threshold`] samples (odd, so each
-/// median is a real sample).
-const CALIBRATION_SAMPLES: usize = 33;
+/// Samples a calibration takes per side: timed misses and hits in
+/// [`calibrate_threshold`], probes per written value in
+/// [`crate::reg::calibrate`]. Odd, so each median is a real sample.
+pub(crate) const CALIBRATION_SAMPLES: usize = 33;
+
+/// The median of one side's calibration samples.
+pub(crate) fn median(mut samples: [u64; CALIBRATION_SAMPLES]) -> u64 {
+    samples.sort_unstable();
+    samples[CALIBRATION_SAMPLES / 2]
+}
 
 /// Calibrates the hit/miss decision threshold on `s` by sampling timed
 /// misses and hits of the line `probe` and returning the midpoint of the
@@ -32,17 +39,14 @@ const CALIBRATION_SAMPLES: usize = 33;
 /// gate and circuit decodes its reads against the value this returns on
 /// its own backend.
 pub fn calibrate_threshold<S: Substrate + ?Sized>(s: &mut S, probe: u64) -> u64 {
-    let mut misses = Vec::with_capacity(CALIBRATION_SAMPLES);
-    let mut hits = Vec::with_capacity(CALIBRATION_SAMPLES);
-    for _ in 0..CALIBRATION_SAMPLES {
+    let mut misses = [0; CALIBRATION_SAMPLES];
+    let mut hits = [0; CALIBRATION_SAMPLES];
+    for (miss, hit) in misses.iter_mut().zip(&mut hits) {
         s.flush_addr(probe);
-        misses.push(s.timed_read_tsc(probe));
-        hits.push(s.timed_read_tsc(probe));
+        *miss = s.timed_read_tsc(probe);
+        *hit = s.timed_read_tsc(probe);
     }
-    misses.sort_unstable();
-    hits.sort_unstable();
-    let miss_med = misses[misses.len() / 2];
-    let hit_med = hits[hits.len() / 2];
+    let (miss_med, hit_med) = (median(misses), median(hits));
     hit_med + (miss_med.saturating_sub(hit_med)) / 2
 }
 

@@ -9,7 +9,7 @@
 //! standalone `Cache` takes any valid geometry. Replacement (LRU or
 //! tree-PLRU) is a deterministic function of the access stream.
 
-use crate::replacement::{Policy, SetState};
+use crate::replacement::Policy;
 
 /// Line size in bytes (64 B, as on all recent x86 parts).
 pub const LINE_SIZE: u64 = 64;
@@ -101,6 +101,11 @@ pub(crate) enum RestoreScope {
 /// nothing but the hit count. Straight-line code thus walks each line
 /// once, not once per instruction.
 ///
+/// `access` and `invalidate` are built from way-addressed primitives
+/// (`way_of`, `hit_way`, `miss_fill`, `invalidate_way`), which the
+/// hierarchy calls directly when its residency index already knows the
+/// way.
+///
 /// # Examples
 ///
 /// ```
@@ -119,7 +124,8 @@ pub struct Cache {
     /// than `Option<u64>`, so a set is a dense run of eight bytes per
     /// way — half the footprint, which matters for the L3's 64 K tags.
     tags: Box<[u64]>,
-    repl: Vec<SetState>,
+    /// One `u64` of [`Policy`] state per set (see [`crate::replacement`]).
+    repl: Box<[u64]>,
     hits: u64,
     misses: u64,
     /// Sets written since the machine's anchor snapshot, each listed once.
@@ -149,9 +155,18 @@ fn count_copied(sets: usize) {
 
 #[cfg(test)]
 thread_local! {
-    /// Accesses on this thread that walked a set rather than taking the
-    /// same-line memo: what the memo tests count.
-    pub(crate) static SET_WALKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Tag lookups on this thread that scanned a set ([`Cache::way_of`]):
+    /// what the memo and residency-index tests count. A fill's search for
+    /// an empty way is not a lookup and is not counted.
+    static SET_WALKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Set walks, at every cache level, while `f` runs on this thread.
+#[cfg(test)]
+pub(crate) fn set_walks(f: impl FnOnce()) -> usize {
+    let before = SET_WALKS.with(|c| c.get());
+    f();
+    SET_WALKS.with(|c| c.get()) - before
 }
 
 /// Sentinel for an empty way. Unreachable as a real line index: line
@@ -176,7 +191,7 @@ impl Cache {
         assert!(cfg.ways >= 1, "cache needs at least one way");
         Self {
             tags: vec![INVALID_TAG; cfg.ways * cfg.sets].into_boxed_slice(),
-            repl: vec![SetState::new(cfg.policy, cfg.ways); cfg.sets],
+            repl: vec![cfg.policy.init(cfg.ways); cfg.sets].into_boxed_slice(),
             dirty_bits: vec![0; cfg.sets.div_ceil(64)].into_boxed_slice(),
             cfg,
             hits: 0,
@@ -204,27 +219,91 @@ impl Cache {
     /// set is full. Updates replacement and hit statistics.
     pub fn access(&mut self, addr: u64) -> bool {
         let line = line_of(addr);
-        if line == self.last {
-            debug_assert!(self.memo_holds(line), "stale same-line memo");
-            self.hits += 1;
+        if self.memo_hit(line) {
             return true;
         }
+        match self.way_of(line) {
+            Some(way) => {
+                self.hit_way(line, way);
+                true
+            }
+            None => {
+                self.miss_fill(line);
+                false
+            }
+        }
+    }
+
+    /// The same-line memo: if `line` is the line of the most recent
+    /// access, counts a hit and returns `true`. A repeat access of that
+    /// line needs no walk: it is resident, its way is already the most
+    /// recently used, and its set is already listed dirty.
+    #[inline]
+    pub(crate) fn memo_hit(&mut self, line: u64) -> bool {
+        if line != self.last {
+            return false;
+        }
+        debug_assert!(self.memo_holds(line), "stale same-line memo");
+        self.hits += 1;
+        true
+    }
+
+    /// The way of `line`'s set that holds it, by a scan of the set.
+    #[inline]
+    pub(crate) fn way_of(&self, line: u64) -> Option<usize> {
         #[cfg(test)]
         SET_WALKS.with(|c| c.set(c.get() + 1));
+        self.tags[self.set_range(line)]
+            .iter()
+            .position(|&t| t == line)
+    }
+
+    /// Counts a hit on `line`, held in `way`, and touches that way.
+    #[inline]
+    pub(crate) fn hit_way(&mut self, line: u64, way: usize) {
         let set = self.set_of(line);
-        let ways = &self.tags[self.set_range(line)];
-        let hit = if let Some(way) = ways.iter().position(|&t| t == line) {
-            self.repl[set].touch(way, self.cfg.ways);
-            self.mark(set);
-            self.hits += 1;
-            true
-        } else {
-            self.misses += 1;
-            self.fill_line(line);
-            false
-        };
+        self.cfg
+            .policy
+            .touch(&mut self.repl[set], way, self.cfg.ways);
+        self.mark(set);
+        self.hits += 1;
         self.last = line;
-        hit
+    }
+
+    /// Counts a miss on `line`, which no way holds, and fills it into the
+    /// set's first empty way, else the policy's victim. Returns the way
+    /// filled and the line evicted from it, if any.
+    pub(crate) fn miss_fill(&mut self, line: u64) -> (usize, Option<u64>) {
+        self.misses += 1;
+        let set = self.set_of(line);
+        let range = self.set_range(line);
+        let way = match self.tags[range.clone()]
+            .iter()
+            .position(|&t| t == INVALID_TAG)
+        {
+            Some(empty) => empty,
+            None => self.cfg.policy.victim(self.repl[set], self.cfg.ways),
+        };
+        let evicted = std::mem::replace(&mut self.tags[range.start + way], line);
+        self.cfg
+            .policy
+            .touch(&mut self.repl[set], way, self.cfg.ways);
+        self.mark(set);
+        self.last = line;
+        (way, (evicted != INVALID_TAG).then_some(evicted))
+    }
+
+    /// Removes `line` from `way`, which holds it.
+    pub(crate) fn invalidate_way(&mut self, line: u64, way: usize) {
+        let set = self.set_of(line);
+        let slot = &mut self.tags[set * self.cfg.ways + way];
+        debug_assert_eq!(
+            *slot, line,
+            "invalidating a way that does not hold the line"
+        );
+        *slot = INVALID_TAG;
+        self.mark(set);
+        self.last = INVALID_TAG;
     }
 
     /// The memo's invariant for `line`: resident, touching its way leaves
@@ -238,23 +317,8 @@ impl Cache {
             return false;
         };
         let mut state = self.repl[set];
-        state.touch(way, self.cfg.ways);
+        self.cfg.policy.touch(&mut state, way, self.cfg.ways);
         state == self.repl[set] && self.dirty_bits[set / 64] & (1 << (set % 64)) != 0
-    }
-
-    fn fill_line(&mut self, line: u64) {
-        let set = self.set_of(line);
-        let range = self.set_range(line);
-        let way = match self.tags[range.clone()]
-            .iter()
-            .position(|&t| t == INVALID_TAG)
-        {
-            Some(empty) => empty,
-            None => self.repl[set].victim(self.cfg.ways),
-        };
-        self.tags[range.start + way] = line;
-        self.repl[set].touch(way, self.cfg.ways);
-        self.mark(set);
     }
 
     /// Lists `set` as written since the anchor (once).
@@ -278,11 +342,8 @@ impl Cache {
     /// Removes `addr`'s line if present (this level only).
     pub fn invalidate(&mut self, addr: u64) {
         let line = line_of(addr);
-        let range = self.set_range(line);
-        if let Some(t) = self.tags[range].iter_mut().find(|t| **t == line) {
-            *t = INVALID_TAG;
-            self.mark(self.set_of(line));
-            self.last = INVALID_TAG;
+        if let Some(way) = self.way_of(line) {
+            self.invalidate_way(line, way);
         }
     }
 
@@ -368,6 +429,17 @@ impl Cache {
     #[cfg(test)]
     pub(crate) fn lists(&self) -> (&[u32], &[u32]) {
         (&self.dirty, &self.base)
+    }
+
+    /// Every resident line with the way that holds it.
+    #[cfg(test)]
+    pub(crate) fn resident(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
+        let ways = self.cfg.ways;
+        self.tags
+            .iter()
+            .enumerate()
+            .filter(|&(_, &t)| t != INVALID_TAG)
+            .map(move |(slot, &t)| (t, slot % ways))
     }
 
     /// Whole-state equality: geometry, tags, replacement state and

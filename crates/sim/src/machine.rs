@@ -1938,12 +1938,7 @@ mod tests {
         }
     }
 
-    /// Set walks, at every cache level, while `f` runs on this thread.
-    fn set_walks(f: impl FnOnce()) -> usize {
-        let before = crate::cache::SET_WALKS.with(|c| c.get());
-        f();
-        crate::cache::SET_WALKS.with(|c| c.get()) - before
-    }
+    use crate::cache::set_walks;
 
     /// The same-line memo: once a line's set has been walked, the
     /// instructions fetched from it walk nothing until something else
@@ -1986,6 +1981,59 @@ mod tests {
             "a restore drops the memo"
         );
         assert_eq!(set_walks(|| m.touch_code(0x40)), 0);
+    }
+
+    /// Exact work per gate: a warmed eval of a `bp_and`-shaped gate (the
+    /// layout and call sequence of `uwm-core`'s `BpGate` for `And`, both
+    /// inputs 1) scans a pinned number of sets. Flushes scan none and a
+    /// miss scans only its L1 set, so the count moves only when the cache
+    /// layer's work does.
+    #[test]
+    fn warmed_bp_and_eval_walks_a_pinned_number_of_sets() {
+        const COND: u64 = 0x10_0000;
+        const OUT: u64 = 0x10_0040;
+        const TRAIN_COND: u64 = 0x10_0080;
+        let mut m = quiet();
+        let mut a = Assembler::new(0x100_0000);
+        let branch = a.brz(COND as u32, "skip");
+        a.align_to(0x40);
+        let body = a.push(Inst::Store {
+            addr: OUT as u32,
+            src: 3,
+        });
+        a.align_to(0x40);
+        a.label("skip").unwrap();
+        a.push(Inst::Halt);
+        m.add_program(a.finish().unwrap());
+        let train = branch + m.predictor().alias_stride();
+        let mut t = Assembler::new(train);
+        t.push(Inst::Brz {
+            cond_addr: TRAIN_COND as u32,
+            rel: 0,
+        });
+        t.push(Inst::Halt);
+        m.add_program(t.finish().unwrap());
+
+        let eval = |m: &mut Machine| {
+            m.touch_code(body);
+            m.mem_mut().write_u64(TRAIN_COND, 1);
+            m.timed_read(TRAIN_COND);
+            for _ in 0..4 {
+                m.run_at(train);
+            }
+            m.flush_addr(OUT);
+            m.flush_addr(COND);
+            m.run_at(branch);
+            m.timed_read_tsc(OUT)
+        };
+        eval(&mut m);
+        let mut delay = 0;
+        // L1I: the body touch, the training line, the branch line, the
+        // speculative body fetch and the skip line; L1D: the training
+        // condition, then the condition's and the output's misses, whose
+        // L2 and L3 lookups the index skips. The timed read is a memo hit.
+        assert_eq!(set_walks(|| delay = eval(&mut m)), 8);
+        assert!(delay < m.latency().dram, "the body stored to the output");
     }
 
     #[test]

@@ -135,15 +135,7 @@ impl Memory {
     /// cost is proportional to the snapshot's resident pages, not to the
     /// pages an item touched.
     pub fn restore_from(&mut self, snap: &Memory) {
-        self.pages.retain(|k| snap.pages.index(k).is_some());
-        for (k, src) in snap.pages.iter() {
-            match self.pages.get_mut(k) {
-                Some(dst) => **dst = **src,
-                None => {
-                    self.pages.get_or_insert_with(k, || src.clone());
-                }
-            }
-        }
+        self.pages.clone_from(&snap.pages);
     }
 }
 

@@ -25,7 +25,7 @@ const DIRECT_PAGES: u64 = 1 << 20;
 const ABSENT: u32 = u32::MAX;
 
 /// Page number → page, with a dense `u32` index per page.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct PageTable<T> {
     /// Leaves of `LEAF_LEN` indices, one per `page >> LEAF_BITS` below
     /// `DIRECT_PAGES`; grown on demand.
@@ -44,6 +44,33 @@ impl<T> Default for PageTable<T> {
             high: HashMap::new(),
             keys: Vec::new(),
             pages: Vec::new(),
+        }
+    }
+}
+
+impl<T: Clone> Clone for PageTable<T> {
+    fn clone(&self) -> Self {
+        Self {
+            dir: self.dir.clone(),
+            high: self.high.clone(),
+            keys: self.keys.clone(),
+            pages: self.pages.clone(),
+        }
+    }
+
+    /// Page by page: drops the pages `src` lacks, copies each of its pages
+    /// over this table's copy in place and inserts the rest, so a table
+    /// that already holds every page of `src` allocates nothing. Indices
+    /// may differ from `src`'s.
+    fn clone_from(&mut self, src: &Self) {
+        self.retain(|k| src.index(k).is_some());
+        for (k, page) in src.iter() {
+            match self.get_mut(k) {
+                Some(dst) => dst.clone_from(page),
+                None => {
+                    self.insert_new(k, page.clone());
+                }
+            }
         }
     }
 }

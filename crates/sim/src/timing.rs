@@ -199,20 +199,81 @@ impl NoiseConfig {
     }
 }
 
+/// Nominal window lengths below this read their spread from a table.
+/// The default latencies' windows are at most the DRAM latency plus the
+/// jitter and the slack (213 cycles).
+const SPREAD_TABLE: usize = 256;
+
+/// The threshold `t` for which `(u >> 11) < t`, `u` a raw 64-bit draw,
+/// holds exactly when `gen_bool(p)` would: `gen_bool` compares the 53-bit
+/// integer `u >> 11`, scaled by `2⁻⁵³`, against `p`, and both the scaling
+/// and `ceil(p·2⁵³)` are exact in `f64`. `p = 0` gives 0 (never), `p = 1`
+/// gives `2⁵³` (always).
+///
+/// # Panics
+///
+/// Panics unless `0.0 <= p <= 1.0`.
+fn threshold(p: f64) -> u64 {
+    assert!((0.0..=1.0).contains(&p), "p={p} is not a probability");
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// Symmetric spread of a window of nominal length `nominal`.
+fn spread_of(window_jitter: f64, nominal: u64) -> i64 {
+    if window_jitter <= 0.0 {
+        0
+    } else {
+        (nominal as f64 * window_jitter).round() as i64
+    }
+}
+
 /// Seeded noise generator owned by a [`crate::machine::Machine`].
 ///
 /// All randomness in the simulator flows through this type so that a machine
 /// constructed with [`crate::machine::Machine::with_seed`] replays identically.
+/// Construction turns each probability into an integer threshold and
+/// tabulates the window spreads, so a draw neither converts to `f64` nor
+/// rounds; the draws and their order are those of `gen_bool` and the
+/// `f64` formulas.
 #[derive(Debug, Clone)]
 pub struct NoiseGen {
     cfg: NoiseConfig,
     rng: StdRng,
+    spike: u64,
+    bp_alias: u64,
+    tsx_spurious_abort: u64,
+    bp_collapse: u64,
+    tsx_collapse: u64,
+    /// `spread_of(window_jitter, n)` for `n < spread_len`.
+    spreads: [u16; SPREAD_TABLE],
+    /// [`SPREAD_TABLE`], or 0 when a spread overflows `u16` (a window
+    /// jitter above 256).
+    spread_len: u64,
 }
 
 impl NoiseGen {
     /// Creates a generator from a configuration and RNG seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a probability in `cfg` lies outside `[0, 1]`.
     pub fn new(cfg: NoiseConfig, seed: u64) -> Self {
+        let mut spreads = [0; SPREAD_TABLE];
+        let mut spread_len = SPREAD_TABLE as u64;
+        for (n, s) in spreads.iter_mut().enumerate() {
+            match u16::try_from(spread_of(cfg.window_jitter, n as u64)) {
+                Ok(spread) => *s = spread,
+                Err(_) => spread_len = 0,
+            }
+        }
         Self {
+            spike: threshold(cfg.spike_prob),
+            bp_alias: threshold(cfg.bp_alias_prob),
+            tsx_spurious_abort: threshold(cfg.tsx_spurious_abort_prob),
+            bp_collapse: threshold(cfg.bp_collapse_prob),
+            tsx_collapse: threshold(cfg.tsx_collapse_prob),
+            spreads,
+            spread_len,
             cfg,
             rng: StdRng::seed_from_u64(seed),
         }
@@ -233,6 +294,12 @@ impl NoiseGen {
         self.rng = StdRng::seed_from_u64(seed);
     }
 
+    /// A Bernoulli draw against a [`threshold`]; no draw when it is 0.
+    #[inline]
+    fn chance(&mut self, threshold: u64) -> bool {
+        threshold != 0 && (self.rng.next_u64() >> 11) < threshold
+    }
+
     /// Jitter added to a single memory access.
     pub fn mem_jitter(&mut self) -> u64 {
         if self.cfg.jitter == 0 {
@@ -245,7 +312,7 @@ impl NoiseGen {
     /// Occasional large delay modelling an interrupt or SMI landing in the
     /// middle of a timed operation. Returns `0` most of the time.
     pub fn interrupt_spike(&mut self) -> u64 {
-        if self.cfg.spike_prob > 0.0 && self.rng.gen_bool(self.cfg.spike_prob) {
+        if self.chance(self.spike) {
             self.rng
                 .gen_range(self.cfg.spike_range.0..=self.cfg.spike_range.1)
         } else {
@@ -255,18 +322,17 @@ impl NoiseGen {
 
     /// Whether a predictor lookup is corrupted by aliasing.
     pub fn bp_alias(&mut self) -> bool {
-        self.cfg.bp_alias_prob > 0.0 && self.rng.gen_bool(self.cfg.bp_alias_prob)
+        self.chance(self.bp_alias)
     }
 
     /// Whether a transaction spuriously aborts.
     pub fn tsx_spurious_abort(&mut self) -> bool {
-        self.cfg.tsx_spurious_abort_prob > 0.0
-            && self.rng.gen_bool(self.cfg.tsx_spurious_abort_prob)
+        self.chance(self.tsx_spurious_abort)
     }
 
     /// Jittered length of a branch-mispredict speculative window.
     pub fn bp_window(&mut self, nominal: u64) -> u64 {
-        if self.cfg.bp_collapse_prob > 0.0 && self.rng.gen_bool(self.cfg.bp_collapse_prob) {
+        if self.chance(self.bp_collapse) {
             return 0;
         }
         self.jitter_window(nominal)
@@ -274,7 +340,7 @@ impl NoiseGen {
 
     /// Jittered length of a TSX post-fault speculative window.
     pub fn tsx_window(&mut self, nominal: u64) -> u64 {
-        if self.cfg.tsx_collapse_prob > 0.0 && self.rng.gen_bool(self.cfg.tsx_collapse_prob) {
+        if self.chance(self.tsx_collapse) {
             return 0;
         }
         self.jitter_window(nominal)
@@ -282,10 +348,11 @@ impl NoiseGen {
 
     /// Applies symmetric relative jitter to a nominal window length.
     pub fn jitter_window(&mut self, nominal: u64) -> u64 {
-        if self.cfg.window_jitter <= 0.0 {
-            return nominal;
-        }
-        let spread = (nominal as f64 * self.cfg.window_jitter).round() as i64;
+        let spread = if nominal < self.spread_len {
+            i64::from(self.spreads[nominal as usize])
+        } else {
+            spread_of(self.cfg.window_jitter, nominal)
+        };
         if spread == 0 {
             return nominal;
         }
@@ -399,5 +466,110 @@ mod tests {
             let s = gen.interrupt_spike();
             assert!((10..=20).contains(&s));
         }
+    }
+
+    /// The draws as they were made with `f64`: `gen_bool` and a rounded
+    /// spread per window.
+    struct FloatNoise {
+        cfg: NoiseConfig,
+        rng: StdRng,
+    }
+
+    impl FloatNoise {
+        fn chance(&mut self, p: f64) -> bool {
+            p > 0.0 && self.rng.gen_bool(p)
+        }
+
+        fn interrupt_spike(&mut self) -> u64 {
+            if self.chance(self.cfg.spike_prob) {
+                self.rng
+                    .gen_range(self.cfg.spike_range.0..=self.cfg.spike_range.1)
+            } else {
+                0
+            }
+        }
+
+        fn window(&mut self, collapse: f64, nominal: u64) -> u64 {
+            if self.chance(collapse) {
+                return 0;
+            }
+            if self.cfg.window_jitter <= 0.0 {
+                return nominal;
+            }
+            let spread = (nominal as f64 * self.cfg.window_jitter).round() as i64;
+            if spread == 0 {
+                return nominal;
+            }
+            let delta = self.rng.gen_range(-spread..=spread);
+            (nominal as i64 + delta).max(0) as u64
+        }
+    }
+
+    #[test]
+    fn integer_draws_match_the_float_draws() {
+        for cfg in [
+            NoiseConfig::default(),
+            NoiseConfig::busy(),
+            NoiseConfig::scaled(0.5),
+        ] {
+            for seed in 0..4 {
+                let mut int = NoiseGen::new(cfg.clone(), seed);
+                let mut float = FloatNoise {
+                    cfg: cfg.clone(),
+                    rng: StdRng::seed_from_u64(seed),
+                };
+                for i in 0..60_000u64 {
+                    // Nominal lengths on both sides of the table bound.
+                    let n = i * 7 % (2 * SPREAD_TABLE as u64);
+                    let what = format!("{cfg:?}, seed {seed}, draw {i}");
+                    match i % 5 {
+                        0 => assert_eq!(int.interrupt_spike(), float.interrupt_spike(), "{what}"),
+                        1 => assert_eq!(int.bp_alias(), float.chance(cfg.bp_alias_prob), "{what}"),
+                        2 => assert_eq!(
+                            int.tsx_spurious_abort(),
+                            float.chance(cfg.tsx_spurious_abort_prob),
+                            "{what}"
+                        ),
+                        3 => assert_eq!(
+                            int.bp_window(n),
+                            float.window(cfg.bp_collapse_prob, n),
+                            "{what}"
+                        ),
+                        _ => assert_eq!(
+                            int.tsx_window(n),
+                            float.window(cfg.tsx_collapse_prob, n),
+                            "{what}"
+                        ),
+                    }
+                }
+                assert_eq!(int.rng.next_u64(), float.rng.next_u64(), "streams diverged");
+            }
+        }
+    }
+
+    #[test]
+    fn thresholds_split_exactly_where_gen_bool_does() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let scale = 1.0 / (1u64 << 53) as f64;
+        let mut ps = vec![0.0, 1.0, 0.5, 0.05, 0.000_02, 1e-300, 0.1 + 0.2];
+        ps.extend((0..1_000).map(|_| rng.gen::<f64>()));
+        for p in ps {
+            let t = threshold(p);
+            for x in t.saturating_sub(2)..(t + 2).min(1 << 53) {
+                assert_eq!(x < t, (x as f64 * scale) < p, "p={p}, x={x}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not a probability")]
+    fn probabilities_are_checked_at_construction() {
+        let _ = NoiseGen::new(
+            NoiseConfig {
+                tsx_collapse_prob: 1.5,
+                ..NoiseConfig::quiet()
+            },
+            0,
+        );
     }
 }
