@@ -248,7 +248,7 @@ mod tests {
                 });
             }
             a.push(Inst::Halt);
-            m.add_program(a.finish().unwrap());
+            m.add_program(&a.finish().unwrap());
             pc
         };
         let mut det = Detector::default();

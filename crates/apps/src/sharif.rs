@@ -147,7 +147,8 @@ mod tests {
             samples: 3,
             votes: 3,
             k: 2,
-        });
+        })
+        .unwrap();
         // The hash is long (1 block = ~200k gate executions); a single
         // attempt with modest redundancy usually lands. Retry a few times
         // as the paper's APT does.

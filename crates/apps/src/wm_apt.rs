@@ -197,7 +197,7 @@ impl WmApt {
             samples: 3,
             votes: 1,
             k: 1,
-        });
+        })?;
 
         // --- build the secret header: jmp over the trap + AES key ---
         let target = MAP_ADDR + 4 * INST_SIZE; // skip key (2 insts) + trap
@@ -232,7 +232,7 @@ impl WmApt {
         });
         a.label("handler")?;
         a.push(Inst::Halt);
-        m.add_program(a.finish()?);
+        m.add_program(&a.finish()?);
         m.warm_code_range(caller_pc, caller_pc + 4 * INST_SIZE);
 
         // --- arm the region: trap + encrypted payload; header slot holds

@@ -22,7 +22,7 @@ fn xor_accuracy(noise: NoiseConfig, red: Redundancy, seed: u64) -> f64 {
         ..MachineConfig::default()
     };
     let mut sk = Skelly::new(cfg, seed).expect("skelly builds");
-    sk.set_redundancy(red);
+    sk.set_redundancy(red).expect("redundancy can vote");
     let mut rng = StdRng::seed_from_u64(seed);
     let trials = 2_000 / red.raw_executions().max(1) as u64 + 10;
     let mut correct = 0u64;
@@ -77,7 +77,7 @@ fn redundancy_sweep() {
             red.raw_executions()
         );
         let mut sk = Skelly::noisy(13).expect("skelly builds");
-        sk.set_redundancy(red);
+        sk.set_redundancy(red).expect("redundancy can vote");
         bench(
             &format!("redundancy_ablation/tsx_xor_voted/{label}"),
             || {

@@ -44,7 +44,8 @@ fn bench_adders() {
 
 fn bench_sha1_compress() {
     let mut sk = Skelly::noisy(5).expect("skelly builds");
-    sk.set_redundancy(Redundancy::default());
+    sk.set_redundancy(Redundancy::default())
+        .expect("redundancy can vote");
     let block: [u8; 64] = core::array::from_fn(|i| i as u8);
     bench("sha1/uwm_compress_block_raw", || {
         UwmSha1::new(&mut sk).compress(H0, &block);

@@ -449,6 +449,10 @@ pub fn sha1_experiments_sharded(
 
 /// Hashes `message` on weird gates on a `cfg` machine with the given
 /// redundancy, and reports per-gate median/vote correctness.
+///
+/// # Panics
+///
+/// Panics if `red` cannot vote (see [`Skelly::set_redundancy`]).
 pub fn sha1_experiment_cfg(
     cfg: MachineConfig,
     message: &[u8],
@@ -456,7 +460,7 @@ pub fn sha1_experiment_cfg(
     seed: u64,
 ) -> Sha1Experiment {
     let mut sk = Skelly::new(cfg, seed).expect("skelly builds");
-    sk.set_redundancy(red);
+    sk.set_redundancy(red).expect("redundancy can vote");
     let start = Instant::now();
     let digest = UwmSha1::new(&mut sk).hash(message);
     let seconds = start.elapsed().as_secs_f64();

@@ -324,7 +324,7 @@ impl CircuitSpec {
         let mut program = Program::new();
         let mut warm = Vec::new();
         for u in &self.units {
-            program.merge_from(&u.program);
+            program.merge(&u.program);
             if let Some(range) = u.warm {
                 warm.push(range);
             }

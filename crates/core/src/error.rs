@@ -45,6 +45,16 @@ pub enum CoreError {
         /// Index of the offending wire.
         wire: usize,
     },
+    /// Redundancy parameters that cannot vote: `samples`, `votes` or `k`
+    /// is zero, or `k > votes`.
+    Redundancy {
+        /// Timed executions per vote.
+        samples: usize,
+        /// Votes per logical gate execution.
+        votes: usize,
+        /// Minimum number of 1-votes for a 1.
+        k: usize,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -73,6 +83,11 @@ impl fmt::Display for CoreError {
             CoreError::WireReused { wire } => {
                 write!(f, "circuit wire {wire} consumed more than once")
             }
+            CoreError::Redundancy { samples, votes, k } => write!(
+                f,
+                "redundancy needs samples > 0 and 0 < k <= votes, \
+                 got samples {samples}, votes {votes}, k {k}"
+            ),
         }
     }
 }

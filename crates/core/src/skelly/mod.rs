@@ -240,8 +240,16 @@ impl Skelly {
     }
 
     /// Sets the redundancy used by the logical operations.
-    pub fn set_redundancy(&mut self, red: Redundancy) {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::CoreError::Redundancy`], and keeps the current
+    /// parameters, when `red.samples`, `red.votes` or `red.k` is zero, or
+    /// `red.k > red.votes`.
+    pub fn set_redundancy(&mut self, red: Redundancy) -> Result<()> {
+        red.check()?;
         self.red = red;
+        Ok(())
     }
 
     /// The active redundancy parameters.
@@ -293,7 +301,7 @@ impl Skelly {
                 inputs,
                 &mut self.counters,
             )
-            .expect("arity is fixed by the caller")
+            .expect("arity is fixed by the caller, redundancy by `set_redundancy`")
     }
 
     /// `a & b` on the branch-predictor AND gate (Figure 1).
@@ -388,6 +396,7 @@ impl Skelly {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CoreError;
 
     #[test]
     fn construction_calibrates_sane_threshold() {
@@ -418,7 +427,7 @@ mod tests {
     #[test]
     fn voted_ops_survive_default_noise() {
         let mut sk = Skelly::noisy(42).unwrap();
-        sk.set_redundancy(Redundancy::paper());
+        sk.set_redundancy(Redundancy::paper()).unwrap();
         let mut wrong = 0;
         for i in 0..50 {
             let a = i % 2 == 0;
@@ -430,6 +439,30 @@ mod tests {
         assert_eq!(wrong, 0, "paper redundancy must mask default noise");
         let c = sk.counters().get("TSX_XOR").unwrap();
         assert_eq!(c.vote_accuracy(), 1.0);
+    }
+
+    #[test]
+    fn set_redundancy_rejects_what_cannot_vote() {
+        let mut sk = Skelly::quiet(3).unwrap();
+        let paper = Redundancy::paper();
+        sk.set_redundancy(paper).unwrap();
+        for bad in [
+            Redundancy {
+                samples: 0,
+                ..paper
+            },
+            Redundancy { votes: 0, ..paper },
+            Redundancy { k: 0, ..paper },
+            Redundancy { k: 6, ..paper },
+        ] {
+            let Redundancy { samples, votes, k } = bad;
+            assert_eq!(
+                sk.set_redundancy(bad),
+                Err(CoreError::Redundancy { samples, votes, k })
+            );
+            assert_eq!(sk.redundancy(), paper, "the old parameters stay");
+        }
+        assert!(sk.and(true, true), "the boolean ops still vote");
     }
 
     #[test]

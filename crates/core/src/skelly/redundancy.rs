@@ -5,7 +5,7 @@
 //! redundantly: `s` timed executions → the bit of the median-delay reading
 //! → one vote; `n` votes → k-threshold decision. The paper's SHA-1 runs used `s = 10, k = 3, n = 5`.
 
-use crate::error::Result;
+use crate::error::{CoreError, Result};
 use crate::gate::{check_arity, GateKind, WeirdGate};
 use crate::substrate::Substrate;
 
@@ -58,6 +58,20 @@ impl Redundancy {
         self.samples * self.votes
     }
 
+    /// Checks that these parameters can vote: [`CoreError::Redundancy`]
+    /// if `samples`, `votes` or `k` is zero, or `k > votes`.
+    pub(crate) fn check(&self) -> Result<()> {
+        if self.samples > 0 && self.k > 0 && self.k <= self.votes {
+            Ok(())
+        } else {
+            Err(CoreError::Redundancy {
+                samples: self.samples,
+                votes: self.votes,
+                k: self.k,
+            })
+        }
+    }
+
     /// Executes `gate` redundantly and returns the voted output bit,
     /// recording accuracy statistics in `bank`.
     ///
@@ -75,12 +89,10 @@ impl Redundancy {
     ///
     /// # Errors
     ///
-    /// Returns [`crate::CoreError::Arity`] when `inputs.len()` is not the
-    /// gate's arity; nothing is executed or counted then.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples`, `votes`, or `k` is zero, or `k > votes`.
+    /// Returns [`CoreError::Redundancy`] when `samples`, `votes` or `k` is
+    /// zero, or `k > votes`, and [`CoreError::Arity`] when
+    /// `inputs.len()` is not the gate's arity; nothing is executed or
+    /// counted then.
     pub fn vote(
         &self,
         gate: &dyn WeirdGate,
@@ -88,11 +100,7 @@ impl Redundancy {
         inputs: &[bool],
         bank: &mut CounterBank,
     ) -> Result<bool> {
-        assert!(
-            self.samples > 0 && self.votes > 0,
-            "redundancy must be positive"
-        );
-        assert!(self.k > 0 && self.k <= self.votes, "need 0 < k <= votes");
+        self.check()?;
         check_arity(gate.kind(), inputs)?;
         let expected = gate.truth(inputs);
         let prepared = if self.raw_executions() > 1 {
@@ -253,7 +261,6 @@ impl CounterBank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::CoreError;
     use crate::gate::tsx::{TsxGate, TsxXor};
     use crate::gate::{GateKind, GateReading};
     use crate::layout::Layout;
@@ -349,17 +356,52 @@ mod tests {
         assert!(!out, "one failed sample among five must veto under k=5");
     }
 
-    #[test]
-    #[should_panic(expected = "k <= votes")]
-    fn invalid_k_panics() {
+    /// `red` cannot vote: `vote` returns the error and executes and
+    /// counts nothing.
+    fn assert_rejected(red: Redundancy) {
         let gate = FlakyGate::new(0);
-        let red = Redundancy {
+        let mut m = machine();
+        let mut bank = CounterBank::new();
+        let Redundancy { samples, votes, k } = red;
+        assert_eq!(
+            red.vote(&gate, &mut m, &[true], &mut bank),
+            Err(CoreError::Redundancy { samples, votes, k })
+        );
+        assert_eq!(gate.calls.get(), 0, "nothing executed");
+        assert_eq!(bank.iter().count(), 0, "no counters recorded");
+    }
+
+    #[test]
+    fn zero_samples_is_an_error() {
+        assert_rejected(Redundancy {
+            samples: 0,
+            ..Redundancy::paper()
+        });
+    }
+
+    #[test]
+    fn zero_votes_is_an_error() {
+        assert_rejected(Redundancy {
+            votes: 0,
+            ..Redundancy::paper()
+        });
+    }
+
+    #[test]
+    fn zero_k_is_an_error() {
+        assert_rejected(Redundancy {
+            k: 0,
+            ..Redundancy::paper()
+        });
+    }
+
+    #[test]
+    fn k_above_votes_is_an_error() {
+        assert_rejected(Redundancy {
             samples: 1,
             votes: 3,
             k: 4,
-        };
-        let mut m = machine();
-        let _ = red.vote(&gate, &mut m, &[true], &mut CounterBank::new());
+        });
     }
 
     #[test]

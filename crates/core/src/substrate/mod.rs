@@ -175,11 +175,11 @@ impl Substrate for Machine {
     }
 
     fn install_program(&mut self, program: Program) {
-        self.add_program(program);
+        self.add_program(&program);
     }
 
     fn install_shared(&mut self, program: &Program) {
-        self.add_program_from(program);
+        self.add_program(program);
     }
 
     fn warm_code_range(&mut self, base: u64, end: u64) {

@@ -59,7 +59,7 @@ fn every_kind_decodes_through_skelly() {
 #[test]
 fn voted_op_decodes() {
     let mut sk = Skelly::new(slow_tsc(), SEED).unwrap();
-    sk.set_redundancy(Redundancy::paper());
+    sk.set_redundancy(Redundancy::paper()).unwrap();
     for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
         assert_eq!(sk.and(a, b), a & b, "{a} AND {b}");
     }

@@ -1,7 +1,7 @@
 //! Cross-version golden pin for the weird gates.
 //!
-//! The equivalence suites (`hotpath_equiv`, `batch_equiv`) compare two
-//! execution paths of the *same* build, so a change that moves a gate's
+//! The equivalence suite (`batch_equiv`) compares two execution paths of
+//! the *same* build, so a change that moves a gate's
 //! layout allocation or reorders its substrate calls passes them
 //! unnoticed. This test pins absolute simulated observables instead: per
 //! gate kind, the bits and timing of a fixed input schedule on a noisy
@@ -242,7 +242,8 @@ fn tsx_xor() {
 #[test]
 fn voted_counter_bank() {
     let mut sk = Skelly::new(MachineConfig::default(), SEED).expect("skelly builds");
-    sk.set_redundancy(Redundancy::paper());
+    sk.set_redundancy(Redundancy::paper())
+        .expect("redundancy can vote");
     let mut h = Fnv::new();
     for r in 0..4 {
         let x = inputs(r);

@@ -492,24 +492,10 @@ impl Program {
         }
     }
 
-    /// Merges another program's instructions into this one. Later
-    /// definitions win on address clashes.
-    pub fn merge(&mut self, other: Program) {
-        if self.insts.is_empty() {
-            self.insts = other.insts;
-        } else {
-            self.merge_sorted(&other.insts);
-        }
-    }
-
-    /// Merges `other`'s instructions from a shared reference — no
-    /// intermediate [`Program`] clone (the `Arc`-shared unit install path).
-    pub fn merge_from(&mut self, other: &Program) {
-        self.merge_sorted(&other.insts);
-    }
-
-    /// Merges a strictly increasing run of pairs; `other` wins clashes.
-    fn merge_sorted(&mut self, other: &[(u64, Inst)]) {
+    /// Merges another program's instructions into this one; `other` wins
+    /// every address clash.
+    pub fn merge(&mut self, other: &Program) {
+        let other = &other.insts;
         let overlaps = matches!(
             (self.insts.last(), other.first()),
             (Some(&(last, _)), Some(&(first, _))) if first <= last
@@ -581,7 +567,7 @@ impl FromIterator<(u64, Inst)> for Program {
 
 impl Extend<(u64, Inst)> for Program {
     fn extend<T: IntoIterator<Item = (u64, Inst)>>(&mut self, iter: T) {
-        self.merge(iter.into_iter().collect());
+        self.merge(&iter.into_iter().collect());
     }
 }
 
@@ -1005,7 +991,7 @@ mod tests {
         let mut b = Program::new();
         b.put(8, Inst::Halt);
         b.put(0, Inst::Fence); // clash: b wins
-        a.merge(b);
+        a.merge(&b);
         assert_eq!(a.get(0), Some(Inst::Fence));
         let addrs: Vec<u64> = a.iter().map(|(a, _)| a).collect();
         assert_eq!(addrs, vec![0, 8]);
@@ -1057,8 +1043,7 @@ mod tests {
                             prog.put(pc, inst);
                         }
                     }
-                    1 => prog.merge(batch.into_iter().collect()),
-                    2 => prog.merge_from(&batch.into_iter().collect()),
+                    1 | 2 => prog.merge(&batch.into_iter().collect()),
                     3 => {
                         // Collecting the merged stream must agree too.
                         prog = prog.iter().chain(batch).collect();

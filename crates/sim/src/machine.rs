@@ -14,7 +14,7 @@
 //! The microarchitecture is one fixed design: the cache [`Hierarchy`]
 //! (split tree-PLRU L1s, LRU L2 and L3), a bimodal [`DirectionPredictor`]
 //! and a direct-mapped [`Btb`]. [`MachineConfig`] varies only latencies,
-//! noise, the execution model and the predecode switch.
+//! noise and the execution model.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,7 +51,7 @@ pub enum ExecutionModel {
 /// Machine construction parameters. The microarchitecture itself is
 /// fixed: the [`Hierarchy`]'s geometry and policies, a 1024-entry
 /// bimodal [`DirectionPredictor`] and a 512-entry [`Btb`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MachineConfig {
     /// Operation latencies.
     pub latency: LatencyConfig,
@@ -59,21 +59,6 @@ pub struct MachineConfig {
     pub noise: NoiseConfig,
     /// Execution model.
     pub model: ExecutionModel,
-    /// Serve fetches from the predecoded instruction cache (host-side
-    /// fast path; never affects timing or decoding — kept as a switch so
-    /// tests can prove equivalence against the slow path).
-    pub predecode: bool,
-}
-
-impl Default for MachineConfig {
-    fn default() -> Self {
-        Self {
-            latency: LatencyConfig::default(),
-            noise: NoiseConfig::default(),
-            model: ExecutionModel::default(),
-            predecode: true,
-        }
-    }
 }
 
 impl MachineConfig {
@@ -250,12 +235,14 @@ impl Clone for SpecScratch {
     }
 }
 
-/// Where fetches come from: the static program, its predecode cache and
-/// the fetch's one-entry page memo into that cache. The memo is reset
-/// whenever `code` is rebuilt or replaced by another cache.
+/// Where fetches come from: the predecode cache, whose static slots
+/// mirror the loaded program, and the fetch's one-entry page memo into
+/// that cache. The memo is reset whenever `code` is rebuilt or replaced
+/// by another cache.
 #[derive(Debug, Clone, Default)]
 struct Fetch {
     /// Fixed after set-up, so snapshots share it instead of copying it.
+    /// Fetches never read it: every program pc has a static slot.
     program: Arc<Program>,
     /// Copy-on-write: cloned only if written while a snapshot shares it.
     code: Arc<CodeCache>,
@@ -279,31 +266,27 @@ impl Fetch {
         }
     }
 
-    /// The instruction at `pc`: from the predecode cache when `predecode`
-    /// is on and the slot is filled, otherwise through [`Fetch::slow`].
+    /// The instruction at `pc`: its predecoded slot if filled, otherwise
+    /// [`Fetch::slow`]. Under `cfg(test)` every fetch is checked against
+    /// the reference fetch of `fetch_tests`.
     #[inline]
-    fn inst(&mut self, pc: u64, mem: &Memory, predecode: bool) -> Inst {
-        if predecode {
-            if let Some(i) = self.code.lookup_memo(pc, &mut self.memo) {
-                return i;
-            }
-        }
-        self.slow(pc, mem, predecode)
+    fn inst(&mut self, pc: u64, mem: &Memory) -> Inst {
+        let inst = match self.code.lookup_memo(pc, &mut self.memo) {
+            Some(i) => i,
+            None => self.slow(pc, mem),
+        };
+        #[cfg(test)]
+        fetch_tests::check(&self.program, mem, pc, inst);
+        inst
     }
 
-    /// Slow-path fetch: consults the program, then decodes memory bytes;
-    /// installs the result into the predecode cache when `predecode` is on.
-    fn slow(&mut self, pc: u64, mem: &Memory, predecode: bool) -> Inst {
-        if let Some(i) = self.program.get(pc) {
-            if predecode {
-                Arc::make_mut(&mut self.code).install_static(pc, i);
-            }
-            return i;
-        }
+    /// Decodes the memory bytes at `pc` into a dynamic slot (none when
+    /// `pc` is unaligned). Program pcs never get here: each has a static
+    /// slot. Kept out of line so the slot hit inlines into the fetch.
+    #[inline(never)]
+    fn slow(&mut self, pc: u64, mem: &Memory) -> Inst {
         let inst = Inst::decode(&mem.read_array(pc));
-        if predecode {
-            Arc::make_mut(&mut self.code).install_dynamic(pc, inst);
-        }
+        Arc::make_mut(&mut self.code).install_dynamic(pc, inst);
         inst
     }
 
@@ -392,16 +375,10 @@ impl Machine {
     }
 
     /// Merges additional code into the loaded program and predecodes it
-    /// (the added code only; see [`CodeCache::add_static`]).
-    pub fn add_program(&mut self, program: Program) {
-        Arc::make_mut(&mut self.fetch.code).add_static(&program);
+    /// (the added code only; see [`CodeCache::add_static`]). `program`
+    /// wins every address clash.
+    pub fn add_program(&mut self, program: &Program) {
         Arc::make_mut(&mut self.fetch.program).merge(program);
-    }
-
-    /// Merges additional code from a shared reference and predecodes it —
-    /// no intermediate [`Program`] clone.
-    pub fn add_program_from(&mut self, program: &Program) {
-        Arc::make_mut(&mut self.fetch.program).merge_from(program);
         Arc::make_mut(&mut self.fetch.code).add_static(program);
     }
 
@@ -526,17 +503,6 @@ impl Machine {
         while line < end {
             self.touch_code(line);
             line += crate::cache::LINE_SIZE;
-        }
-        // Predecode the range too (no timing effect): freshly assembled
-        // stubs are typically executed right after warming.
-        if self.cfg.predecode {
-            let mut pc = base - base % INST_SIZE;
-            while pc < end {
-                if self.fetch.code.lookup(pc).is_none() {
-                    self.fetch.slow(pc, &self.mem, true);
-                }
-                pc += INST_SIZE;
-            }
         }
     }
 
@@ -739,7 +705,7 @@ impl Machine {
 
     fn step(&mut self, pc: u64) -> StepResult {
         self.cycles += self.inst_access(pc);
-        let inst = self.fetch.inst(pc, &self.mem, self.cfg.predecode);
+        let inst = self.fetch.inst(pc, &self.mem);
         self.stats.committed_insts += 1;
         if self.tracer.is_enabled() {
             self.tracer.record(ArchEvent::Commit { pc, inst });
@@ -1111,7 +1077,7 @@ impl Machine {
                 return;
             }
             fetch_t = f_ready;
-            let inst = self.fetch.inst(pc, &self.mem, self.cfg.predecode);
+            let inst = self.fetch.inst(pc, &self.mem);
             self.stats.speculative_insts += 1;
             let next = pc + INST_SIZE;
             let dispatch = fetch_t;
@@ -1496,7 +1462,7 @@ mod tests {
             rel: 0,
         }); // mem[0x4100]=1 → fall through
         train.push(Inst::Halt);
-        m.add_program(train.finish().unwrap());
+        m.add_program(&train.finish().unwrap());
         m.mem_mut().write_u64(0x4100, 1);
         for _ in 0..4 {
             m.run_at(alias);
@@ -1542,7 +1508,7 @@ mod tests {
             rel: 0,
         });
         train.push(Inst::Halt);
-        m.add_program(train.finish().unwrap());
+        m.add_program(&train.finish().unwrap());
         m.mem_mut().write_u64(0x4100, 1);
         for _ in 0..4 {
             m.run_at(alias);
@@ -2004,7 +1970,7 @@ mod tests {
         a.align_to(0x40);
         a.label("skip").unwrap();
         a.push(Inst::Halt);
-        m.add_program(a.finish().unwrap());
+        m.add_program(&a.finish().unwrap());
         let train = branch + m.predictor().alias_stride();
         let mut t = Assembler::new(train);
         t.push(Inst::Brz {
@@ -2012,7 +1978,7 @@ mod tests {
             rel: 0,
         });
         t.push(Inst::Halt);
-        m.add_program(t.finish().unwrap());
+        m.add_program(&t.finish().unwrap());
 
         let eval = |m: &mut Machine| {
             m.touch_code(body);
@@ -2103,7 +2069,7 @@ mod restore_tests {
         });
         a.label("skip").unwrap();
         a.push(Inst::Halt);
-        p.merge(a.finish().unwrap());
+        p.merge(&a.finish().unwrap());
 
         let mut a = Assembler::new(STORE_PC);
         a.push(Inst::StoreInd {
@@ -2112,7 +2078,7 @@ mod restore_tests {
             src: 6,
         });
         a.push(Inst::Halt);
-        p.merge(a.finish().unwrap());
+        p.merge(&a.finish().unwrap());
 
         let mut m = Machine::new(MachineConfig::default(), seed);
         m.load_program(p);
@@ -2472,6 +2438,8 @@ mod restore_tests {
 
 /// Unit installs predecode only the unit they add; the predecode cache
 /// must still come out exactly as a fresh `rebuild` of the merged program.
+/// Fetches never consult the program, so every program pc must have a
+/// static slot after every operation: install, load, restore or clone.
 #[cfg(test)]
 mod install_tests {
     use super::*;
@@ -2519,17 +2487,23 @@ mod install_tests {
     }
 
     /// The program equals the model, and every static slot of a fresh
-    /// rebuild is served as such; `exact` also requires the whole cache,
-    /// dynamic slots included, to equal the rebuild.
+    /// rebuild is a static slot of the machine's cache (it outlives
+    /// `drop_dynamic`); `exact` also requires the whole cache, dynamic
+    /// slots included, to equal the rebuild.
     fn check(m: &Machine, model: &BTreeMap<u64, Inst>, exact: bool, what: &str) {
         let want: Vec<(u64, Inst)> = model.iter().map(|(&a, &i)| (a, i)).collect();
         assert_eq!(m.fetch.program.iter().collect::<Vec<_>>(), want, "{what}");
         let mut fresh = CodeCache::new();
         fresh.rebuild(&m.fetch.program);
+        let mut statics = CodeCache::clone(&m.fetch.code);
+        statics.drop_dynamic();
         for pc in pcs() {
-            let got = m.fetch.code.lookup(pc);
-            if exact || fresh.lookup(pc).is_some() {
-                assert_eq!(got, fresh.lookup(pc), "{what}: pc {pc:#x}");
+            let want = fresh.lookup(pc);
+            if exact {
+                assert_eq!(m.fetch.code.lookup(pc), want, "{what}: pc {pc:#x}");
+            }
+            if want.is_some() {
+                assert_eq!(statics.lookup(pc), want, "{what}: static pc {pc:#x}");
             }
         }
         if exact {
@@ -2547,22 +2521,16 @@ mod install_tests {
             let mut snap: Option<(Box<Machine>, BTreeMap<u64, Inst>)> = None;
             for op in 0..120 {
                 let what = format!("seed {seed} op {op}");
-                match rng.gen_range(0..6u32) {
-                    0 => {
+                match rng.gen_range(0..8u32) {
+                    0 | 1 => {
                         let u = unit(&mut rng);
                         model.extend(u.iter());
-                        m.add_program_from(&u);
-                        check(&m, &model, true, &what);
-                    }
-                    1 => {
-                        let u = unit(&mut rng);
-                        model.extend(u.iter());
-                        m.add_program(u);
+                        m.add_program(&u);
                         check(&m, &model, true, &what);
                     }
                     2 => {
                         let mut p = stub();
-                        p.merge(unit(&mut rng));
+                        p.merge(&unit(&mut rng));
                         model = p.iter().collect();
                         m.load_program(p);
                         check(&m, &model, true, &what);
@@ -2586,7 +2554,21 @@ mod install_tests {
                         assert!(m.fetch.code.has_dynamic(), "{what}");
                         check(&m, &model, false, &what);
                     }
-                    _ => snap = Some((m.snapshot(), model.clone())),
+                    5 => {
+                        snap = Some((m.snapshot(), model.clone()));
+                        check(&m, &model, false, &what);
+                    }
+                    6 => {
+                        if let Some((s, s_model)) = &snap {
+                            m.restore_from(s);
+                            model = s_model.clone();
+                        }
+                        check(&m, &model, false, &what);
+                    }
+                    _ => {
+                        m = m.clone();
+                        check(&m, &model, false, &what);
+                    }
                 }
                 // A snapshot shares the cache; installs must not reach it.
                 if let Some((s, s_model)) = &snap {
@@ -2594,5 +2576,258 @@ mod install_tests {
                 }
             }
         }
+    }
+}
+
+/// The reference fetch, and a seeded stream that holds every fetch to it.
+///
+/// The reference is what an address decodes to: the loaded program's
+/// instruction if the program has one, else the eight memory bytes there.
+/// The machine never consults the program on a fetch; it serves static
+/// code from the predecode cache alone. [`Fetch::inst`] calls [`check`]
+/// on every committed and speculative fetch of every test in this crate.
+#[cfg(test)]
+mod fetch_tests {
+    use super::*;
+    use crate::isa::Assembler;
+    use std::cell::Cell;
+    use uwm_rng::rngs::StdRng;
+    use uwm_rng::{Rng, SeedableRng};
+
+    thread_local! {
+        /// Fetches checked on this thread: `[from the program, from memory]`.
+        static CHECKED: Cell<[u64; 2]> = const { Cell::new([0; 2]) };
+    }
+
+    /// Panics unless `inst` is the reference fetch at `pc`.
+    pub(super) fn check(program: &Program, mem: &Memory, pc: u64, inst: Inst) {
+        let static_inst = program.get(pc);
+        let want = static_inst.unwrap_or_else(|| Inst::decode(&mem.read_array(pc)));
+        assert_eq!(inst, want, "fetch at {pc:#x}");
+        CHECKED.with(|c| {
+            let mut n = c.get();
+            n[usize::from(static_inst.is_none())] += 1;
+            c.set(n);
+        });
+    }
+
+    fn checked() -> [u64; 2] {
+        CHECKED.with(Cell::get)
+    }
+
+    /// Stores `r6` to `[r5]` and `r7` to `[r5 + 8]`.
+    const STORE_PC: u64 = 0x100;
+    /// Jumps to `r1`.
+    const JUMP_PC: u64 = 0x200;
+    /// A branch on `COND` (always 0, so taken to a `Halt`) whose
+    /// fall-through, the wrong path once trained, jumps to `r1`.
+    const BRANCH_PC: u64 = 0x300;
+    /// A transaction that stores `r6` to `[r5]`, faults, and jumps to `r1`
+    /// in the post-fault window before its store is rolled back.
+    const TSX_PC: u64 = 0x400;
+    const COND: u32 = 0x8000;
+    const TRAIN_COND: u32 = 0x8040;
+    /// Units and dynamic code share these 64 slots, which straddle a page
+    /// boundary.
+    const REGION: u64 = 0x1_0000 - 16 * INST_SIZE;
+    const SLOTS: u64 = 64;
+
+    /// The stubs, and at `BRANCH_PC` plus the predictor's alias stride a
+    /// branch that is never taken, which trains `BRANCH_PC` toward its
+    /// fall-through.
+    fn stubs(alias: u64) -> Program {
+        let mut a = Assembler::new(STORE_PC);
+        for offset in [0, 8] {
+            a.push(Inst::StoreInd {
+                base: 5,
+                offset,
+                src: 6 + offset as u8 / 8,
+            });
+        }
+        a.push(Inst::Halt);
+        let mut p = a.finish().unwrap();
+        p.put(JUMP_PC, Inst::JmpInd { base: 1 });
+        for (pc, cond) in [(BRANCH_PC, COND), (BRANCH_PC + alias, TRAIN_COND)] {
+            let mut a = Assembler::new(pc);
+            a.brz(cond, "skip");
+            a.push(Inst::JmpInd { base: 1 });
+            a.label("skip").unwrap();
+            a.push(Inst::Halt);
+            p.merge(&a.finish().unwrap());
+        }
+        let mut a = Assembler::new(TSX_PC);
+        a.xbegin("handler");
+        a.push(Inst::StoreInd {
+            base: 5,
+            offset: 0,
+            src: 6,
+        });
+        a.push(Inst::Div {
+            dst: 0,
+            a: 0,
+            b: Operand::Imm(0),
+        });
+        a.push(Inst::JmpInd { base: 1 });
+        a.label("handler").unwrap();
+        a.push(Inst::Halt);
+        p.merge(&a.finish().unwrap());
+        p
+    }
+
+    /// A slot of the region; now and then half a slot past one.
+    fn region_pc(rng: &mut StdRng) -> u64 {
+        let unaligned = if rng.gen_bool(0.125) {
+            INST_SIZE / 2
+        } else {
+            0
+        };
+        REGION + rng.gen_range(0..SLOTS - 2) * INST_SIZE + unaligned
+    }
+
+    fn mov(rng: &mut StdRng) -> Inst {
+        Inst::Mov {
+            dst: 2,
+            src: Operand::Imm(rng.gen_range(0..1000u32)),
+        }
+    }
+
+    /// `Mov r2, imm; Halt`, as two little-endian words.
+    fn code_words(rng: &mut StdRng) -> [u64; 2] {
+        [mov(rng), Inst::Halt].map(|i| u64::from_le_bytes(i.encode()))
+    }
+
+    /// A straight run of 1–6 instructions ending in `Halt`.
+    fn unit(rng: &mut StdRng) -> Program {
+        let mut a = Assembler::new(REGION + rng.gen_range(0..SLOTS - 6) * INST_SIZE);
+        for _ in 0..rng.gen_range(0..6u32) {
+            a.push(mov(rng));
+        }
+        a.push(Inst::Halt);
+        a.finish().unwrap()
+    }
+
+    /// Runs the jump stub into `pc`.
+    fn jump(m: &mut Machine, pc: u64) {
+        m.set_reg(1, pc);
+        m.run_at(JUMP_PC);
+    }
+
+    /// A machine ready for the stream.
+    fn machine(seed: u64) -> Machine {
+        let mut m = Machine::new(MachineConfig::default(), seed);
+        m.load_program(stubs(m.predictor().alias_stride()));
+        m.mem_mut().write_u64(TRAIN_COND as u64, 1);
+        m.set_step_limit(64);
+        m
+    }
+
+    /// Two machines take turns through unit installs over existing code,
+    /// program loads, code fetched, overwritten by `mem_mut` or by a
+    /// committed store and fetched again, committed jumps into that code,
+    /// wrong paths of mispredicted branches and post-fault windows that
+    /// fetch it (and rolled-back stores over it), and snapshots, restores
+    /// and clones across the two machines, which by then hold different
+    /// dynamic slots.
+    #[test]
+    fn every_fetch_matches_the_reference() {
+        let start = checked();
+        // Memory fetches in branch and transaction runs, whose committed
+        // paths lie wholly in the program: wrong-path fetches.
+        let mut speculative = [0u64; 2];
+        for seed in 0..8 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut ms = [machine(seed), machine(seed + 100)];
+            let alias = ms[0].predictor().alias_stride();
+            let mut snaps: Vec<Box<Machine>> = Vec::new();
+            for _ in 0..500 {
+                let k = rng.gen_range(0..2usize);
+                let m = &mut ms[k];
+                match rng.gen_range(0..20u32) {
+                    0..=2 => {
+                        let u = unit(&mut rng);
+                        m.add_program(&u);
+                        jump(m, u.iter().next().unwrap().0);
+                    }
+                    3 => {
+                        let mut p = stubs(alias);
+                        p.merge(&unit(&mut rng));
+                        m.load_program(p);
+                    }
+                    // Code is fetched, overwritten, and fetched again.
+                    4..=5 => {
+                        let [w0, w1] = code_words(&mut rng);
+                        let pc = region_pc(&mut rng);
+                        jump(m, pc);
+                        m.mem_mut().write_u64(pc, w0);
+                        m.mem_mut().write_u64(pc + 8, w1);
+                        jump(m, pc);
+                    }
+                    6..=8 => {
+                        let [w0, w1] = code_words(&mut rng);
+                        let pc = region_pc(&mut rng);
+                        jump(m, pc);
+                        m.set_reg(5, pc);
+                        m.set_reg(6, w0);
+                        m.set_reg(7, w1);
+                        m.run_at(STORE_PC);
+                        jump(m, pc);
+                    }
+                    9..=11 => jump(m, region_pc(&mut rng)),
+                    12..=13 => {
+                        let target = region_pc(&mut rng);
+                        m.set_reg(1, target);
+                        m.warm_code_range(target, target + INST_SIZE);
+                        for _ in 0..3 {
+                            m.run_at(BRANCH_PC + alias);
+                        }
+                        m.flush_addr(COND as u64);
+                        let before = checked()[1];
+                        m.run_at(BRANCH_PC);
+                        speculative[0] += checked()[1] - before;
+                    }
+                    14..=15 => {
+                        // Half the time the window fetches the code the
+                        // transaction stored, which the abort then undoes.
+                        let stored = region_pc(&mut rng);
+                        let target = if rng.gen_bool(0.5) {
+                            stored
+                        } else {
+                            region_pc(&mut rng)
+                        };
+                        m.set_reg(1, target);
+                        m.set_reg(5, stored);
+                        m.set_reg(6, code_words(&mut rng)[0]);
+                        m.warm_code_range(target, target + INST_SIZE);
+                        let before = checked()[1];
+                        m.run_at(TSX_PC);
+                        speculative[1] += checked()[1] - before;
+                    }
+                    16 => {
+                        snaps.push(m.snapshot());
+                        if snaps.len() > 4 {
+                            snaps.remove(0);
+                        }
+                    }
+                    17..=18 => {
+                        if !snaps.is_empty() {
+                            let snap = &snaps[rng.gen_range(0..snaps.len())];
+                            if rng.gen_bool(0.5) {
+                                m.restore_from(snap);
+                            } else {
+                                m.restore_from_keeping_clock(snap);
+                            }
+                        }
+                    }
+                    _ => ms[k] = ms[1 - k].clone(),
+                }
+            }
+        }
+        let [from_program, from_memory] = [0, 1].map(|i| checked()[i] - start[i]);
+        assert!(from_program > 5_000, "{from_program} static fetches");
+        assert!(from_memory > 1_000, "{from_memory} memory fetches");
+        assert!(
+            speculative.iter().all(|&n| n > 150),
+            "wrong-path memory fetches (branch, transaction): {speculative:?}"
+        );
     }
 }

@@ -1,32 +1,35 @@
-//! Predecoded instruction cache: the fetch fast path.
+//! Predecoded instruction cache: the machine's only source of static code.
 //!
-//! Every committed and speculative step fetches an instruction, and before
-//! this module existed each fetch searched the static program and then
-//! re-decoded eight bytes of simulated memory. [`CodeCache`]
-//! decodes each instruction slot once and serves later fetches from a
-//! dense per-page slot table, found through the same direct-indexed page
-//! table as simulated memory. The fetching machine keeps a one-entry memo
-//! of the last page it fetched from, which skips even that lookup while
-//! fetches stay on one page. This is purely
-//! a host-side optimization: it must never change what an address
-//! decodes to, so the cache distinguishes two slot origins:
+//! Every committed and speculative step fetches an instruction.
+//! [`CodeCache`] decodes each instruction slot once and serves later
+//! fetches from a dense per-page slot table, found through the same
+//! direct-indexed page table as simulated memory. The fetching machine
+//! keeps a one-entry memo of the last page it fetched from, which skips
+//! even that lookup while fetches stay on one page. An address must
+//! decode to the loaded program's instruction if it has one, else to
+//! the eight memory bytes there, so the cache distinguishes two slot
+//! origins:
 //!
-//! * **Static** slots mirror the loaded [`Program`]. The program shadows
-//!   simulated memory (the machine consults it first), so data writes
-//!   never invalidate a static slot; only reloading the program does.
+//! * **Static** slots mirror the loaded [`Program`]: every program pc has
+//!   one from the moment the program is installed, and the machine never
+//!   consults the program itself. The program shadows simulated memory,
+//!   so data writes never invalidate a static slot; only reloading the
+//!   program does.
 //! * **Dynamic** slots were decoded from simulated memory (dynamically
-//!   written code). Any data write that overlaps a slot's eight bytes
-//!   precisely invalidates it — self-modifying code, as used by
-//!   `wm_apt`'s patched jump, re-decodes from memory on its next fetch.
+//!   written code) on first fetch. Any data write that overlaps a slot's
+//!   eight bytes precisely invalidates it — self-modifying code, as used
+//!   by `wm_apt`'s patched jump, re-decodes from memory on its next
+//!   fetch.
 //!
 //! Writes that bypass the machine (host-side `mem_mut()` access) cannot be
 //! intercepted per address, so handing out that access drops every
 //! dynamic slot up front. No fetch can run while the handle is borrowed,
 //! so nothing decoded afterwards can predate the writes.
 //!
-//! Only [`INST_SIZE`]-aligned addresses are cached. Unaligned code (legal,
-//! if odd) always takes the slow path, which keeps one byte from ever
-//! belonging to two slots and makes write invalidation exact.
+//! Only [`INST_SIZE`]-aligned addresses are cached (program addresses
+//! always are). Unaligned dynamic code (legal, if odd) is decoded from
+//! memory on every fetch, which keeps one byte from ever belonging to two
+//! slots and makes write invalidation exact.
 
 use crate::isa::{Inst, Program, INST_SIZE};
 use crate::page_table::{PageTable, PAGE_SIZE};
@@ -34,25 +37,16 @@ use crate::page_table::{PageTable, PAGE_SIZE};
 /// Instruction slots per page.
 const SLOTS_PER_PAGE: usize = (PAGE_SIZE / INST_SIZE) as usize;
 
-/// One predecoded instruction slot.
+/// One predecoded instruction slot, empty while `inst` is `None`. A
+/// struct rather than an empty/static/dynamic enum, so that a fetch hit
+/// tests `inst`'s niche once instead of a tag and then an `Option`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-enum Slot {
-    /// Nothing cached; fetch takes the slow path and installs.
-    #[default]
-    Empty,
-    /// Mirrors the static program; immune to data writes.
-    Static(Inst),
-    /// Decoded from simulated memory; invalidated by overlapping writes.
-    Dynamic(Inst),
-}
-
-impl Slot {
-    fn inst(self) -> Option<Inst> {
-        match self {
-            Slot::Empty => None,
-            Slot::Static(i) | Slot::Dynamic(i) => Some(i),
-        }
-    }
+struct Slot {
+    /// The decoded instruction, if any.
+    inst: Option<Inst>,
+    /// Decoded from simulated memory, so overlapping writes invalidate
+    /// it; otherwise it mirrors the static program and is immune to them.
+    dynamic: bool,
 }
 
 /// A page of predecoded slots.
@@ -122,16 +116,11 @@ impl CodeCache {
     }
 
     /// Drops everything and predecodes `program` into static slots.
-    /// Unaligned program addresses are left to the slow path. Every page
-    /// memo filled from this cache must be reset.
+    /// Every page memo filled from this cache must be reset.
     pub fn rebuild(&mut self, program: &Program) {
         self.pages.clear();
         self.dynamic_slots = 0;
-        for (pc, inst) in program.iter() {
-            if pc.is_multiple_of(INST_SIZE) {
-                *self.slot_mut(pc) = Slot::Static(inst);
-            }
-        }
+        self.add_static(program);
     }
 
     /// Predecodes a unit just merged into the static program, without
@@ -142,20 +131,21 @@ impl CodeCache {
     pub fn add_static(&mut self, unit: &Program) {
         self.drop_dynamic();
         for (pc, inst) in unit.iter() {
-            if pc.is_multiple_of(INST_SIZE) {
-                *self.slot_mut(pc) = Slot::Static(inst);
-            }
+            *self.slot_mut(pc) = Slot {
+                inst: Some(inst),
+                dynamic: false,
+            };
         }
     }
 
     /// The cached decoding of the instruction at `pc`, if any. `None`
-    /// means the caller must decode (slow path) and install the result.
+    /// means the caller must decode memory and install the result.
     #[inline]
     pub fn lookup(&self, pc: u64) -> Option<Inst> {
         if !pc.is_multiple_of(INST_SIZE) {
             return None;
         }
-        self.pages.get(pc / PAGE_SIZE)?[Self::slot_index(pc)].inst()
+        self.pages.get(pc / PAGE_SIZE)?[Self::slot_index(pc)].inst
     }
 
     /// [`CodeCache::lookup`] through `memo`: while `pc` stays on the
@@ -170,7 +160,7 @@ impl CodeCache {
         if page != memo.page {
             *memo = self.memo_for(page)?;
         }
-        self.pages.at(memo.index)[Self::slot_index(pc)].inst()
+        self.pages.at(memo.index)[Self::slot_index(pc)].inst
     }
 
     /// A memo of `page`, if the cache holds it. Kept out of line so the
@@ -183,25 +173,16 @@ impl CodeCache {
         })
     }
 
-    /// Installs a slow-path decoding of the static program's instruction
-    /// at `pc`.
-    pub fn install_static(&mut self, pc: u64, inst: Inst) {
-        if pc.is_multiple_of(INST_SIZE) {
-            let slot = self.slot_mut(pc);
-            let was_dynamic = matches!(slot, Slot::Dynamic(_));
-            *slot = Slot::Static(inst);
-            if was_dynamic {
-                self.dynamic_slots -= 1;
-            }
-        }
-    }
-
-    /// Installs a slow-path decoding of dynamically written code at `pc`.
+    /// Installs the decoding of dynamically written code at `pc`; an
+    /// unaligned `pc` is not cached.
     pub fn install_dynamic(&mut self, pc: u64, inst: Inst) {
         if pc.is_multiple_of(INST_SIZE) {
             let slot = self.slot_mut(pc);
-            let was_dynamic = matches!(slot, Slot::Dynamic(_));
-            *slot = Slot::Dynamic(inst);
+            let was_dynamic = slot.dynamic;
+            *slot = Slot {
+                inst: Some(inst),
+                dynamic: true,
+            };
             if !was_dynamic {
                 self.dynamic_slots += 1;
             }
@@ -220,8 +201,8 @@ impl CodeCache {
         while slot_addr <= last {
             if let Some(page) = self.pages.get_mut(slot_addr / PAGE_SIZE) {
                 let slot = &mut page[Self::slot_index(slot_addr)];
-                if matches!(slot, Slot::Dynamic(_)) {
-                    *slot = Slot::Empty;
+                if slot.dynamic {
+                    *slot = Slot::default();
                     self.dynamic_slots -= 1;
                 }
             }
@@ -245,8 +226,8 @@ impl CodeCache {
         self.dynamic_slots = 0;
         for page in self.pages.pages_mut() {
             for slot in page.iter_mut() {
-                if matches!(slot, Slot::Dynamic(_)) {
-                    *slot = Slot::Empty;
+                if slot.dynamic {
+                    *slot = Slot::default();
                 }
             }
         }
@@ -258,9 +239,9 @@ impl CodeCache {
     }
 
     fn slot_mut(&mut self, pc: u64) -> &mut Slot {
-        let page = self
-            .pages
-            .get_or_insert_with(pc / PAGE_SIZE, || Box::new([Slot::Empty; SLOTS_PER_PAGE]));
+        let page = self.pages.get_or_insert_with(pc / PAGE_SIZE, || {
+            Box::new([Slot::default(); SLOTS_PER_PAGE])
+        });
         &mut page[Self::slot_index(pc)]
     }
 }
@@ -275,6 +256,13 @@ mod tests {
             dst: 0,
             src: Operand::Imm(imm),
         }
+    }
+
+    /// A cache whose only static slot is `inst` at `pc`.
+    fn with_static(pc: u64, inst: Inst) -> CodeCache {
+        let mut cc = CodeCache::new();
+        cc.add_static(&[(pc, inst)].into_iter().collect());
+        cc
     }
 
     #[test]
@@ -300,8 +288,7 @@ mod tests {
 
     #[test]
     fn writes_invalidate_dynamic_but_not_static_slots() {
-        let mut cc = CodeCache::new();
-        cc.install_static(0, mov(1));
+        let mut cc = with_static(0, mov(1));
         cc.install_dynamic(8, mov(2));
         cc.install_dynamic(16, mov(3));
         // An 8-byte write over [8, 16) touches only the middle slot.
@@ -329,8 +316,7 @@ mod tests {
 
     #[test]
     fn drop_dynamic_keeps_static_slots() {
-        let mut cc = CodeCache::new();
-        cc.install_static(0, mov(1));
+        let mut cc = with_static(0, mov(1));
         cc.install_dynamic(8, mov(2));
         assert!(cc.has_dynamic());
         cc.drop_dynamic();

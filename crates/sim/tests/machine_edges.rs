@@ -31,7 +31,7 @@ fn speculative_infinite_loop_is_bounded() {
         rel: 0,
     });
     t.push(Inst::Halt);
-    m.add_program(t.finish().unwrap());
+    m.add_program(&t.finish().unwrap());
     m.mem_mut().write_u64(0x4100, 1);
     for _ in 0..4 {
         m.run_at(alias);
@@ -350,18 +350,12 @@ fn div_by_zero_register_faults() {
 /// Self-modifying code: a program that overwrites one of its own
 /// (dynamically written) instructions with a committed `Store` must see
 /// the new decoding on the next fetch — and the predecode cache must not
-/// change a single cycle of any of it.
+/// change a single cycle of any of it: the run takes the cycles it took
+/// when fetches could bypass the cache.
 #[test]
 fn self_modifying_store_is_seen_and_predecode_is_cycle_neutral() {
-    // The scenario, parameterized over the predecode toggle.
-    let scenario = |predecode: bool| {
-        let mut m = Machine::new(
-            MachineConfig {
-                predecode,
-                ..MachineConfig::quiet()
-            },
-            0,
-        );
+    let scenario = || {
+        let mut m = quiet();
         // Dynamic code at 0x2000: "Mov r5, 1; Halt" written as bytes
         // (no static program entry, so fetches decode from memory).
         let code_at = 0x2000u64;
@@ -399,8 +393,7 @@ fn self_modifying_store_is_seen_and_predecode_is_cycle_neutral() {
         });
         m.load_program(a.finish().unwrap());
 
-        // First run executes (and, with predecode on, caches) the
-        // original instruction.
+        // First run executes (and caches) the original instruction.
         assert_eq!(m.run_at(code_at), RunOutcome::Halted);
         let first = m.reg(5);
         // Second run patches it in-program; the fetch after the store
@@ -410,30 +403,24 @@ fn self_modifying_store_is_seen_and_predecode_is_cycle_neutral() {
         (first, second, m.cycles())
     };
 
-    let on = scenario(true);
-    let off = scenario(false);
-    assert_eq!(on.0, 1, "original instruction executes first");
-    assert_eq!(on.1, 2, "patched instruction must be re-decoded");
-    assert_eq!(on, off, "predecode must not change results or cycles");
+    let (first, second, cycles) = scenario();
+    assert_eq!(first, 1, "original instruction executes first");
+    assert_eq!(second, 2, "patched instruction must be re-decoded");
+    assert_eq!(cycles, 647, "predecode must not change cycles");
 }
 
 /// Self-modifying code above 4 GiB, where memory and the predecode cache
 /// leave the direct-indexed page range: an indirect jump reaches
 /// dynamically written code whose two instructions straddle a page
 /// boundary, a store overwrites the first, and the next jump must see the
-/// new decoding, with and without predecode, in the same cycles.
+/// new decoding, in the cycles it took when fetches could bypass the
+/// predecode cache.
 #[test]
 fn self_modifying_code_above_4_gib() {
     // The last slot of a page above 4 GiB; its `Halt` opens the next page.
     const CODE_AT: u64 = (1 << 32) + 0x2000 - INST_SIZE;
-    let scenario = |predecode: bool| {
-        let mut m = Machine::new(
-            MachineConfig {
-                predecode,
-                ..MachineConfig::quiet()
-            },
-            0,
-        );
+    let scenario = || {
+        let mut m = quiet();
         let mov = |imm| Inst::Mov {
             dst: 5,
             src: Operand::Imm(imm),
@@ -459,7 +446,7 @@ fn self_modifying_code_above_4_gib() {
             src: 0,
         });
         a.push(Inst::JmpInd { base: 1 });
-        p.merge(a.finish().unwrap());
+        p.merge(&a.finish().unwrap());
         m.load_program(p);
         m.set_reg(1, CODE_AT);
 
@@ -470,13 +457,9 @@ fn self_modifying_code_above_4_gib() {
         }
         (seen, m.cycles())
     };
-    let on = scenario(true);
-    assert_eq!(on.0, [1, 1, 2, 2], "the overwrite is fetched, and kept");
-    assert_eq!(
-        on,
-        scenario(false),
-        "predecode must not change results or cycles"
-    );
+    let (seen, cycles) = scenario();
+    assert_eq!(seen, [1, 1, 2, 2], "the overwrite is fetched, and kept");
+    assert_eq!(cycles, 1084, "predecode must not change cycles");
 }
 
 /// A restore re-points the predecode cache at the snapshot's, so the
@@ -501,7 +484,7 @@ fn a_restore_drops_the_fetch_page_memo() {
     // `PC`'s (index 1).
     let mut s = quiet();
     s.load_program(stub(OTHER, 2));
-    s.add_program(stub(PC, 1));
+    s.add_program(&stub(PC, 1));
     let snap = s.snapshot();
 
     let mut m = quiet();
@@ -529,4 +512,73 @@ fn vmx_warm_vs_cold_program_timing() {
     m.run_at(0);
     let warm = m.cycles() - t1;
     assert!(cold > warm + 200, "cold {cold} vs warm {warm}");
+}
+
+/// The one fetch the predecode cache never serves: a pc that is not a
+/// multiple of `INST_SIZE`. An indirect jump there executes the
+/// instruction encoded by the eight memory bytes at that address, both
+/// when it commits and on a mispredicted wrong path, and it sees those
+/// bytes as they are now, not as an earlier fetch decoded them.
+#[test]
+fn indirect_jump_to_an_unaligned_pc_decodes_memory_bytes() {
+    const CODE_AT: u64 = 0x2004;
+    const COND: u32 = 0x4000;
+    const PROBES: [u32; 2] = [0x6000, 0x7000];
+    let mut m = quiet();
+    let put = |m: &mut Machine, insts: &[Inst]| {
+        let bytes: Vec<u8> = insts.iter().flat_map(|i| i.encode()).collect();
+        m.mem_mut().write_bytes(CODE_AT, &bytes);
+    };
+    // 0x100: the committed jump. 0: a branch whose fall-through (the
+    // wrong path once it is trained toward it) is the same jump.
+    let mut a = Assembler::new(0);
+    a.brz(COND, "skip");
+    a.push(Inst::JmpInd { base: 1 });
+    a.label("skip").unwrap();
+    a.push(Inst::Halt);
+    let mut p = a.finish().unwrap();
+    p.put(0x100, Inst::JmpInd { base: 1 });
+    m.load_program(p);
+    m.set_reg(1, CODE_AT);
+
+    for imm in [7, 9] {
+        let mov = Inst::Mov {
+            dst: 5,
+            src: Operand::Imm(imm),
+        };
+        put(&mut m, &[mov, Inst::Halt]);
+        assert_eq!(m.run_at(0x100), RunOutcome::Halted);
+        assert_eq!(m.reg(5), u64::from(imm), "committed fetch at {CODE_AT:#x}");
+    }
+
+    m.mem_mut().write_u64(COND as u64, 1);
+    for _ in 0..4 {
+        m.run_at(0); // trains the branch toward the fall-through
+    }
+    m.mem_mut().write_u64(COND as u64, 0);
+    m.warm_code_range(0, 3 * INST_SIZE);
+    m.warm_code_range(CODE_AT, CODE_AT + INST_SIZE);
+    for (i, probe) in PROBES.into_iter().enumerate() {
+        let load = Inst::Load {
+            dst: 6,
+            addr: probe,
+        };
+        put(&mut m, &[load, Inst::Halt]);
+        for p in PROBES {
+            m.flush_addr(p as u64);
+        }
+        m.flush_addr(COND as u64);
+        let spec = m.stats().speculative_insts;
+        assert_eq!(m.run_at(0), RunOutcome::Halted);
+        assert!(m.stats().speculative_insts > spec, "the wrong path ran");
+        assert_eq!(m.reg(6), 0, "the wrong path's load never commits");
+        for (j, p) in PROBES.into_iter().enumerate() {
+            assert_eq!(
+                m.hierarchy().in_l1d(p as u64),
+                i == j,
+                "wrong-path fetch at {CODE_AT:#x} loaded {:#x}",
+                PROBES[i]
+            );
+        }
+    }
 }

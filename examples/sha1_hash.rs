@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         samples: 1,
         votes: 1,
         k: 1,
-    });
+    })?;
 
     let digest = UwmSha1::new(&mut sk).hash(message.as_bytes());
     let reference = sha1(message.as_bytes());

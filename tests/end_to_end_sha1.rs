@@ -39,7 +39,7 @@ fn two_block_hash_matches_reference() {
 #[test]
 fn noisy_hash_with_paper_redundancy_is_correct() {
     let mut sk = Skelly::new(MachineConfig::default(), 103).unwrap();
-    sk.set_redundancy(Redundancy::paper());
+    sk.set_redundancy(Redundancy::paper()).unwrap();
     let digest = UwmSha1::new(&mut sk).hash(b"abc");
     assert_eq!(digest, sha1(b"abc"));
     for (name, c) in sk.counters().iter() {

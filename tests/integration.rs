@@ -121,7 +121,7 @@ fn circuit_and_skelly_xor_agree() {
 #[test]
 fn redundancy_improves_noisy_accuracy() {
     let mut sk = Skelly::new(MachineConfig::default(), 77).unwrap();
-    sk.set_redundancy(Redundancy::paper());
+    sk.set_redundancy(Redundancy::paper()).unwrap();
     let mut wrong_voted = 0u32;
     let trials = 60;
     for i in 0..trials {
