@@ -11,7 +11,7 @@ use uwm_core::gate::GateKind;
 use uwm_rng::Rng;
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args("scale");
     let samples = scaled(20_000, args.scale);
     let mut figures = Vec::new();
     for (fig, kind) in [("Figure 7", GateKind::And), ("Figure 8", GateKind::Or)] {

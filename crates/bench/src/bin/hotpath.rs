@@ -39,7 +39,7 @@
 use uwm_apps::{Sha1Batch, UwmSha1};
 use uwm_bench::harness::{bench_against, Paired};
 use uwm_bench::json::Json;
-use uwm_bench::{gate_performance_sharded, maybe_write_json, parse_args, scaled};
+use uwm_bench::{gate_performance_sharded, maybe_write_json, parse_args_with, scaled};
 use uwm_core::batch::{run_pooled, BatchRunner};
 use uwm_core::circuit::{adder32_inputs, adder32_spec, CircuitSpec};
 use uwm_core::exec::{batch_seed, ShardedExecutor};
@@ -382,10 +382,25 @@ fn baseline_field(doc: &Json, name: &str, field: &str) -> Option<f64> {
 }
 
 fn main() {
-    let args = parse_args();
+    let (mut baseline, mut check_regression) = (None::<std::path::PathBuf>, None::<f64>);
+    let args = parse_args_with(
+        "scale",
+        &[("--baseline", "PATH"), ("--check-regression", "FRAC")],
+        |flag, value| {
+            if flag == "--baseline" {
+                baseline = Some(value.into());
+            } else {
+                // A NaN tolerance would pass every comparison against it.
+                let frac = value.parse().ok().filter(|f| (0.0..=1.0).contains(f));
+                check_regression =
+                    Some(frac.ok_or("--check-regression takes a fraction in [0, 1]")?);
+            }
+            Ok(())
+        },
+    );
     let seed = 0xCAFE;
 
-    if args.check_regression.is_some() && args.baseline.is_none() {
+    if check_regression.is_some() && baseline.is_none() {
         eprintln!("error: --check-regression requires --baseline");
         std::process::exit(2);
     }
@@ -506,7 +521,7 @@ fn main() {
     ];
 
     let mut regressions: Vec<String> = Vec::new();
-    if let Some(path) = &args.baseline {
+    if let Some(path) = &baseline {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("error: cannot read baseline {}: {e}", path.display());
             std::process::exit(1);
@@ -536,7 +551,7 @@ fn main() {
             speedups.push(("min", Json::Num(min)));
         }
 
-        if let Some(frac) = args.check_regression {
+        if let Some(frac) = check_regression {
             for w in &workloads {
                 if w.name == "bp_and" {
                     continue;
@@ -593,7 +608,7 @@ fn main() {
         &Json::Obj(report.into_iter().map(|(k, v)| (k.to_owned(), v)).collect()),
     );
 
-    if let Some(frac) = args.check_regression {
+    if let Some(frac) = check_regression {
         if regressions.is_empty() {
             println!("regression check passed (tolerance {frac})");
         } else {

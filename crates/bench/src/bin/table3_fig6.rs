@@ -11,7 +11,7 @@ use uwm_bench::{
 };
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args("scale");
     let experiments = scaled(100, args.scale) as u32;
     println!("Table 3: Triggers required for successful wm_apt transform");
     println!(

@@ -10,7 +10,7 @@ use uwm_bench::{maybe_write_json, parse_args, sha1_experiments_sharded};
 use uwm_core::skelly::Redundancy;
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args("runs");
     // The positional argument doubles as the run count here.
     let runs = (args.scale.round() as u32).max(1);
     // 100 bytes pads to exactly 2 SHA-1 blocks, like the paper's fixture.

@@ -13,7 +13,7 @@ use uwm_core::gate::GateKind;
 const COMBOS: [(bool, bool); 4] = [(false, false), (false, true), (true, false), (true, true)];
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args("scale");
     let ops = scaled(64_000, args.scale);
     let mut rows = Vec::new();
     let mut measure =

@@ -8,7 +8,7 @@ use uwm_bench::{gate_performance_sharded, maybe_write_json, parse_args, scaled};
 use uwm_core::gate::GateKind;
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args("scale");
     let ops = scaled(64_000, args.scale);
     println!(
         "Table 8: TSX Gate Accuracy ({ops} ops per gate, {} shard(s))\n",

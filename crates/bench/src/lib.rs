@@ -56,83 +56,72 @@ pub struct BenchArgs {
     pub shards: usize,
     /// Destination for a machine-readable report (`--json PATH`).
     pub json: Option<std::path::PathBuf>,
-    /// A previously written report to compare against (`--baseline PATH`;
-    /// used by `hotpath` to compute speedup ratios).
-    pub baseline: Option<std::path::PathBuf>,
-    /// Fail (exit 1) if throughput regresses more than this fraction
-    /// against the baseline (`--check-regression FRAC`; requires
-    /// `--baseline`). The CI perf-smoke job runs with `0.2`.
-    pub check_regression: Option<f64>,
 }
 
-/// Parses `[scale] [--shards N] [--json PATH] [--baseline PATH]
-/// [--check-regression FRAC]` from the process args.
+/// Parses `[scale] [--shards N] [--json PATH]` from the process args;
+/// `positional` names the scale argument in the usage line (`table4`'s
+/// is a run count).
 ///
-/// Prints a usage message to stderr and exits with status 2 on malformed
+/// Prints the usage line to stderr and exits with status 2 on malformed
 /// arguments.
-pub fn parse_args() -> BenchArgs {
-    fn usage(msg: &str) -> ! {
-        eprintln!("error: {msg}");
-        eprintln!(
-            "usage: [scale] [--shards N] [--json PATH] [--baseline PATH] \
-             [--check-regression FRAC]"
-        );
-        std::process::exit(2);
+pub fn parse_args(positional: &str) -> BenchArgs {
+    parse_args_with(positional, &[], |_, _| Ok(()))
+}
+
+/// [`parse_args`] for a binary with flags of its own: each
+/// `(flag, value name)` of `extra` takes one value, which `take` parses
+/// (an `Err` is a malformed argument). Every flag is given as
+/// `--flag v` or `--flag=v`.
+pub fn parse_args_with(
+    positional: &str,
+    extra: &[(&str, &str)],
+    mut take: impl FnMut(&str, String) -> Result<(), &'static str>,
+) -> BenchArgs {
+    let mut usage = format!("usage: [{positional}] [--shards N] [--json PATH]");
+    for (flag, value) in extra {
+        usage += &format!(" [{flag} {value}]");
     }
+    let fail = |msg: &str| -> ! {
+        eprintln!("error: {msg}\n{usage}");
+        std::process::exit(2)
+    };
     let mut out = BenchArgs {
         scale: 1.0,
         shards: 1,
         json: None,
-        baseline: None,
-        check_regression: None,
     };
     let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if let Some(v) = a.strip_prefix("--shards=") {
-            out.shards = v
+    while let Some(arg) = args.next() {
+        let (flag, value) = match arg.split_once('=') {
+            Some((flag, value)) => (flag, Some(value.to_owned())),
+            None => (arg.as_str(), None),
+        };
+        if !["--shards", "--json"].contains(&flag) && !extra.iter().any(|e| e.0 == flag) {
+            out.scale = arg
                 .parse()
-                .unwrap_or_else(|_| usage("--shards takes a positive integer"));
-        } else if a == "--shards" {
-            let Some(v) = args.next() else {
-                usage("--shards takes a value");
-            };
-            out.shards = v
+                .ok()
+                .filter(|scale: &f64| scale.is_finite())
+                .unwrap_or_else(|| fail(&format!("unrecognized argument {arg:?}")));
+            continue;
+        }
+        let Some(value) = value.or_else(|| args.next()) else {
+            fail(&format!("{flag} takes a value"))
+        };
+        let taken = match flag {
+            "--shards" => value
                 .parse()
-                .unwrap_or_else(|_| usage("--shards takes a positive integer"));
-        } else if let Some(v) = a.strip_prefix("--json=") {
-            out.json = Some(v.into());
-        } else if a == "--json" {
-            let Some(v) = args.next() else {
-                usage("--json takes a path");
-            };
-            out.json = Some(v.into());
-        } else if let Some(v) = a.strip_prefix("--baseline=") {
-            out.baseline = Some(v.into());
-        } else if a == "--baseline" {
-            let Some(v) = args.next() else {
-                usage("--baseline takes a path");
-            };
-            out.baseline = Some(v.into());
-        } else if let Some(v) = a.strip_prefix("--check-regression=") {
-            out.check_regression = Some(
-                v.parse()
-                    .unwrap_or_else(|_| usage("--check-regression takes a fraction")),
-            );
-        } else if a == "--check-regression" {
-            let Some(v) = args.next() else {
-                usage("--check-regression takes a value");
-            };
-            out.check_regression = Some(
-                v.parse()
-                    .unwrap_or_else(|_| usage("--check-regression takes a fraction")),
-            );
-        } else {
-            out.scale = a
-                .parse()
-                .unwrap_or_else(|_| usage(&format!("unrecognized argument {a:?}")));
+                .map(|n: std::num::NonZeroUsize| out.shards = n.get())
+                .map_err(|_| "--shards takes a positive integer"),
+            "--json" => {
+                out.json = Some(value.into());
+                Ok(())
+            }
+            _ => take(flag, value),
+        };
+        if let Err(msg) = taken {
+            fail(msg);
         }
     }
-    out.shards = out.shards.max(1);
     out
 }
 

@@ -129,24 +129,14 @@ pub struct SkellySpec {
 }
 
 impl SkellySpec {
-    /// Builds every gate spec against a fresh layout with the standard
-    /// branch-alias stride.
+    /// Builds every gate spec against a fresh layout with the machine's
+    /// branch-alias stride ([`DEFAULT_ALIAS_STRIDE`]).
     ///
     /// # Errors
     ///
     /// Fails if gate construction exhausts the layout or assembly fails.
     pub fn new() -> Result<Self> {
-        Self::with_alias_stride(DEFAULT_ALIAS_STRIDE)
-    }
-
-    /// Like [`SkellySpec::new`] with an explicit branch-alias stride (must
-    /// match the target machines' predictor).
-    ///
-    /// # Errors
-    ///
-    /// Fails if gate construction exhausts the layout or assembly fails.
-    pub fn with_alias_stride(alias_stride: u64) -> Result<Self> {
-        let mut lay = Layout::new(alias_stride);
+        let mut lay = Layout::new(DEFAULT_ALIAS_STRIDE);
         let mut units = Vec::new();
         let gates = Gates::build(&mut lay, &mut units)?;
         let probe = lay.alloc_var()?;

@@ -75,17 +75,17 @@ impl Redundancy {
     /// Executes `gate` redundantly and returns the voted output bit,
     /// recording accuracy statistics in `bank`.
     ///
-    /// When more than one raw execution is needed, the invariant
-    /// preparation ([`WeirdGate::begin`]: output initialization, input
-    /// encoding, predictor training) runs **once**: the prepared state is
-    /// snapshotted and every trial restores it
+    /// [`WeirdGate::begin`] (output initialization, input encoding,
+    /// predictor training) runs **once**, then each of the
+    /// `samples * votes` trials runs [`WeirdGate::activate_read`]. With
+    /// more than one trial, the prepared state is snapshotted and every
+    /// trial after the first rewinds to it
     /// ([`Substrate::restore_keeping_clock`], so the clock stays monotonic
-    /// and each trial draws fresh noise) before
-    /// [`WeirdGate::activate_read`]. In a run of votes on one machine,
-    /// each snapshot is taken into the previous vote's, so it copies only
-    /// the cache sets the machine wrote in between (see
-    /// [`crate::substrate::SubstrateSnapshot`]). The no-redundancy default
-    /// runs the full protocol once.
+    /// and each trial draws fresh noise): `samples * votes - 1` rewinds
+    /// per logical execution, and none for the no-redundancy default. In
+    /// a run of votes on one machine, each snapshot is taken into the
+    /// previous vote's, so it copies only the cache sets the machine wrote
+    /// in between (see [`crate::substrate::SubstrateSnapshot`]).
     ///
     /// # Errors
     ///
@@ -103,27 +103,20 @@ impl Redundancy {
         self.check()?;
         check_arity(gate.kind(), inputs)?;
         let expected = gate.truth(inputs);
-        let prepared = if self.raw_executions() > 1 {
-            gate.begin(s, inputs)?;
-            Some(s.snapshot())
-        } else {
-            None
-        };
+        gate.begin(s, inputs)?;
+        let prepared = (self.raw_executions() > 1).then(|| s.snapshot());
         let counters = bank.entry(gate.kind());
         let mut ones = 0usize;
-        for _ in 0..self.votes {
+        for round in 0..self.votes {
             // Readings that decoded as 1, and the shortest delay read for
             // each bit.
             let mut sample_ones = 0usize;
             let mut shortest = [u64::MAX; 2];
-            for _ in 0..self.samples {
-                let r = match &prepared {
-                    Some(snap) => {
-                        s.restore_keeping_clock(snap);
-                        gate.activate_read(s)
-                    }
-                    None => gate.execute_timed(s, inputs)?,
-                };
+            for sample in 0..self.samples {
+                if let Some(snap) = prepared.as_ref().filter(|_| round + sample > 0) {
+                    s.restore_keeping_clock(snap);
+                }
+                let r = gate.activate_read(s);
                 counters.raw_total += 1;
                 if r.bit == expected {
                     counters.raw_correct += 1;
@@ -264,8 +257,11 @@ mod tests {
     use crate::gate::tsx::{TsxGate, TsxXor};
     use crate::gate::{GateKind, GateReading};
     use crate::layout::Layout;
+    use crate::substrate::SubstrateSnapshot;
     use std::cell::Cell;
-    use uwm_sim::machine::{Machine, MachineConfig};
+    use uwm_sim::isa::{Program, Reg};
+    use uwm_sim::machine::{Machine, MachineConfig, RunOutcome};
+    use uwm_sim::timing::LatencyConfig;
 
     /// A fake one-input gate with a programmable error pattern.
     #[derive(Debug)]
@@ -407,7 +403,7 @@ mod tests {
     #[test]
     fn hoisted_split_path_votes_correctly() {
         // A real gate on a noisy machine: prepare runs once, every raw
-        // execution replays the prepared snapshot.
+        // execution after the first replays the prepared snapshot.
         let mut m = Machine::new(MachineConfig::default(), 11);
         let mut lay = Layout::new(m.predictor().alias_stride());
         let g = TsxGate::spec(GateKind::TxAnd, &mut lay)
@@ -511,6 +507,112 @@ mod tests {
         }
         let c = in_turn[0].bank.get("TSX_XOR").unwrap();
         assert_eq!(c.raw_total, 3 * BITS as u64);
+    }
+
+    /// A machine that counts the voter's snapshots and rewinds.
+    struct Counting {
+        m: Machine,
+        snapshots: Cell<usize>,
+        restores: usize,
+        rewinds: usize,
+    }
+
+    impl Substrate for Counting {
+        fn backend_name(&self) -> &'static str {
+            Substrate::backend_name(&self.m)
+        }
+        fn install_program(&mut self, program: Program) {
+            Substrate::install_program(&mut self.m, program);
+        }
+        fn install_shared(&mut self, program: &Program) {
+            Substrate::install_shared(&mut self.m, program);
+        }
+        fn warm_code_range(&mut self, base: u64, end: u64) {
+            Substrate::warm_code_range(&mut self.m, base, end);
+        }
+        fn run_at(&mut self, pc: u64) -> RunOutcome {
+            Substrate::run_at(&mut self.m, pc)
+        }
+        fn flush_addr(&mut self, addr: u64) {
+            Substrate::flush_addr(&mut self.m, addr);
+        }
+        fn timed_read(&mut self, addr: u64) -> u64 {
+            Substrate::timed_read(&mut self.m, addr)
+        }
+        fn timed_read_tsc(&mut self, addr: u64) -> u64 {
+            Substrate::timed_read_tsc(&mut self.m, addr)
+        }
+        fn touch_code(&mut self, addr: u64) {
+            Substrate::touch_code(&mut self.m, addr);
+        }
+        fn cycles(&self) -> u64 {
+            Substrate::cycles(&self.m)
+        }
+        fn idle(&mut self, cycles: u64) {
+            Substrate::idle(&mut self.m, cycles);
+        }
+        fn write_word(&mut self, addr: u64, value: u64) {
+            Substrate::write_word(&mut self.m, addr, value);
+        }
+        fn read_word(&self, addr: u64) -> u64 {
+            Substrate::read_word(&self.m, addr)
+        }
+        fn set_reg(&mut self, r: Reg, value: u64) {
+            Substrate::set_reg(&mut self.m, r, value);
+        }
+        fn latency(&self) -> &LatencyConfig {
+            Substrate::latency(&self.m)
+        }
+        fn alias_stride(&self) -> u64 {
+            Substrate::alias_stride(&self.m)
+        }
+        fn snapshot(&self) -> SubstrateSnapshot {
+            self.snapshots.set(self.snapshots.get() + 1);
+            Substrate::snapshot(&self.m)
+        }
+        fn restore(&mut self, snap: &SubstrateSnapshot) {
+            self.restores += 1;
+            Substrate::restore(&mut self.m, snap);
+        }
+        fn restore_keeping_clock(&mut self, snap: &SubstrateSnapshot) {
+            self.rewinds += 1;
+            Substrate::restore_keeping_clock(&mut self.m, snap);
+        }
+        fn reseed(&mut self, seed: u64) {
+            Substrate::reseed(&mut self.m, seed);
+        }
+    }
+
+    /// Per logical execution the voter takes one snapshot and rewinds
+    /// before every trial but the first; a single raw execution takes
+    /// neither, and no vote restores the clock.
+    #[test]
+    fn one_snapshot_and_a_rewind_between_trials() {
+        for (samples, votes, k) in [(10, 5, 3), (3, 1, 1), (1, 3, 2), (1, 1, 1)] {
+            let red = Redundancy { samples, votes, k };
+            let mut s = Counting {
+                m: Machine::new(MachineConfig::default(), 5),
+                snapshots: 0.into(),
+                restores: 0,
+                rewinds: 0,
+            };
+            let mut lay = Layout::new(s.alias_stride());
+            let g = TsxXor::spec(&mut lay).unwrap().instantiate(&mut s);
+            let mut bank = CounterBank::new();
+            let trials = samples * votes;
+            for bit in 0..4 {
+                let inputs = [bit & 1 == 1, bit & 2 == 2];
+                red.vote(&g, &mut s, &inputs, &mut bank).unwrap();
+                let (snapshots, rewinds) = (usize::from(trials > 1), trials - 1);
+                let n = bit + 1;
+                assert_eq!(
+                    (s.snapshots.get(), s.rewinds, s.restores),
+                    (n * snapshots, n * rewinds, 0),
+                    "{red:?}, vote {bit}"
+                );
+            }
+            assert_eq!(bank.get("TSX_XOR").unwrap().raw_total, 4 * trials as u64);
+        }
     }
 
     /// A wrong input count is an error, checked before the reference

@@ -25,14 +25,16 @@
 
 use std::cell::Cell;
 
-use uwm_sim::isa::{Program, Reg};
+use uwm_sim::branch::PREDICTOR_ENTRIES;
+use uwm_sim::isa::{Program, Reg, INST_SIZE};
 use uwm_sim::machine::{Machine, RunOutcome};
 use uwm_sim::timing::LatencyConfig;
 
-/// Alias stride of the default simulator predictor (1024 entries ×
-/// 8-byte instructions): the stride a [`crate::layout::Layout`] must be
-/// built for to instantiate on a default-configured `Machine`.
-pub const DEFAULT_ALIAS_STRIDE: u64 = 8192;
+/// Alias stride of the simulator's predictor
+/// ([`PREDICTOR_ENTRIES`] × [`INST_SIZE`]-byte instructions): the stride a
+/// [`crate::layout::Layout`] must be built for to instantiate on a
+/// `Machine`.
+pub const DEFAULT_ALIAS_STRIDE: u64 = PREDICTOR_ENTRIES as u64 * INST_SIZE;
 
 /// An opaque capture of a backend's complete state, produced by
 /// [`Substrate::snapshot`] and consumed by [`Substrate::restore`].

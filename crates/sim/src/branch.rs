@@ -11,6 +11,9 @@
 
 use crate::isa::INST_SIZE;
 
+/// Counters in the machine's direction predictor (its default size).
+pub const PREDICTOR_ENTRIES: usize = 1024;
+
 /// A table of 2-bit saturating counters predicting branch direction.
 ///
 /// Counter values: `0,1` predict not-taken; `2,3` predict taken. New
@@ -36,7 +39,7 @@ clone_by_field!(DirectionPredictor { table });
 
 impl Default for DirectionPredictor {
     fn default() -> Self {
-        Self::new(1024)
+        Self::new(PREDICTOR_ENTRIES)
     }
 }
 

@@ -98,8 +98,9 @@ pub(crate) enum RestoreScope {
 /// A repeat access of the line the previous access touched skips the
 /// set walk: that line is resident, its way is already the most recently
 /// used, and its set is already listed dirty, so the walk would change
-/// nothing but the hit count. Straight-line code thus walks each line
-/// once, not once per instruction.
+/// nothing. Straight-line code thus walks each line once, not once per
+/// instruction. The cache keeps no hit or miss count: `access` returns
+/// whether it hit.
 ///
 /// `access` and `invalidate` are built from way-addressed primitives
 /// (`way_of`, `hit_way`, `miss_fill`, `invalidate_way`), which the
@@ -126,8 +127,6 @@ pub struct Cache {
     tags: Box<[u64]>,
     /// One `u64` of [`Policy`] state per set (see [`crate::replacement`]).
     repl: Box<[u64]>,
-    hits: u64,
-    misses: u64,
     /// Sets written since the machine's anchor snapshot, each listed once.
     dirty: Vec<u32>,
     /// One bit per set: is it in `dirty`?
@@ -194,8 +193,6 @@ impl Cache {
             repl: vec![cfg.policy.init(cfg.ways); cfg.sets].into_boxed_slice(),
             dirty_bits: vec![0; cfg.sets.div_ceil(64)].into_boxed_slice(),
             cfg,
-            hits: 0,
-            misses: 0,
             dirty: Vec::new(),
             base: Vec::new(),
             last: INVALID_TAG,
@@ -216,7 +213,7 @@ impl Cache {
 
     /// Accesses the line containing `addr`: returns `true` on hit. On miss
     /// the line is filled, evicting the replacement policy's victim if the
-    /// set is full. Updates replacement and hit statistics.
+    /// set is full. Updates the replacement state.
     pub fn access(&mut self, addr: u64) -> bool {
         let line = line_of(addr);
         if self.memo_hit(line) {
@@ -234,18 +231,15 @@ impl Cache {
         }
     }
 
-    /// The same-line memo: if `line` is the line of the most recent
-    /// access, counts a hit and returns `true`. A repeat access of that
-    /// line needs no walk: it is resident, its way is already the most
+    /// The same-line memo: is `line` the line of the most recent access?
+    /// A repeat access of that line is a hit that needs no walk and
+    /// changes nothing: it is resident, its way is already the most
     /// recently used, and its set is already listed dirty.
     #[inline]
-    pub(crate) fn memo_hit(&mut self, line: u64) -> bool {
-        if line != self.last {
-            return false;
-        }
-        debug_assert!(self.memo_holds(line), "stale same-line memo");
-        self.hits += 1;
-        true
+    pub(crate) fn memo_hit(&self, line: u64) -> bool {
+        let hit = line == self.last;
+        debug_assert!(!hit || self.memo_holds(line), "stale same-line memo");
+        hit
     }
 
     /// The way of `line`'s set that holds it, by a scan of the set.
@@ -258,7 +252,7 @@ impl Cache {
             .position(|&t| t == line)
     }
 
-    /// Counts a hit on `line`, held in `way`, and touches that way.
+    /// A hit on `line`, held in `way`: touches that way.
     #[inline]
     pub(crate) fn hit_way(&mut self, line: u64, way: usize) {
         let set = self.set_of(line);
@@ -266,15 +260,13 @@ impl Cache {
             .policy
             .touch(&mut self.repl[set], way, self.cfg.ways);
         self.mark(set);
-        self.hits += 1;
         self.last = line;
     }
 
-    /// Counts a miss on `line`, which no way holds, and fills it into the
-    /// set's first empty way, else the policy's victim. Returns the way
-    /// filled and the line evicted from it, if any.
+    /// A miss on `line`, which no way holds: fills it into the set's first
+    /// empty way, else the policy's victim. Returns the way filled and the
+    /// line evicted from it, if any.
     pub(crate) fn miss_fill(&mut self, line: u64) -> (usize, Option<u64>) {
-        self.misses += 1;
         let set = self.set_of(line);
         let range = self.set_range(line);
         let way = match self.tags[range.clone()]
@@ -332,8 +324,8 @@ impl Cache {
         }
     }
 
-    /// Non-invasive presence check: does not touch replacement state or
-    /// statistics. This is the "omniscient analyzer" view used by tests.
+    /// Non-invasive presence check: does not touch replacement state.
+    /// This is the "omniscient analyzer" view used by tests.
     pub fn contains(&self, addr: u64) -> bool {
         let line = line_of(addr);
         self.tags[self.set_range(line)].contains(&line)
@@ -347,17 +339,12 @@ impl Cache {
         }
     }
 
-    /// `(hits, misses)` counted by [`Cache::access`].
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
     /// Number of valid lines currently cached.
     pub fn occupancy(&self) -> usize {
         self.tags.iter().filter(|&&t| t != INVALID_TAG).count()
     }
 
-    /// Makes this cache's contents and counters equal `snap`'s, copying
+    /// Makes this cache's contents equal `snap`'s, copying
     /// the sets `scope` names, and adopts `snap`'s dirty list. Both caches
     /// must have the same geometry.
     pub(crate) fn restore_from(&mut self, snap: &Cache, scope: RestoreScope) {
@@ -392,8 +379,6 @@ impl Cache {
             }
         }
         self.dirty.clone_from(&snap.dirty);
-        self.hits = snap.hits;
-        self.misses = snap.misses;
         self.last = INVALID_TAG;
     }
 
@@ -442,14 +427,11 @@ impl Cache {
             .map(move |(slot, &t)| (t, slot % ways))
     }
 
-    /// Whole-state equality: geometry, tags, replacement state and
-    /// counters (not the dirty bookkeeping or the memo).
+    /// Whole-state equality: geometry, tags and replacement state (not
+    /// the dirty bookkeeping or the memo).
     #[cfg(test)]
     pub(crate) fn same_state(&self, other: &Cache) -> bool {
-        self.cfg == other.cfg
-            && self.tags == other.tags
-            && self.repl == other.repl
-            && self.stats() == other.stats()
+        self.cfg == other.cfg && self.tags == other.tags && self.repl == other.repl
     }
 }
 
@@ -470,8 +452,10 @@ mod tests {
     fn cold_miss_then_hit() {
         let mut c = tiny();
         assert!(!c.access(0));
-        assert!(c.access(0));
-        assert_eq!(c.stats(), (1, 1));
+        assert!(c.access(0), "memo hit");
+        c.forget_last();
+        assert!(c.access(0), "walked hit");
+        assert!(!c.access(2 * 64), "another line of the set misses");
     }
 
     #[test]

@@ -226,11 +226,6 @@ impl Hierarchy {
         way_at(self.entry(line_of(addr)), L1I).is_some()
     }
 
-    /// Aggregate `(hits, misses)` across L1D accesses.
-    pub fn l1d_stats(&self) -> (u64, u64) {
-        self.caches[L1D].stats()
-    }
-
     /// [`Cache::restore_from`] on every level; the index is copied page
     /// by page, as a restored memory is.
     pub(crate) fn restore_from(&mut self, snap: &Hierarchy, scope: RestoreScope) {
@@ -341,13 +336,14 @@ mod tests {
     fn probe_has_no_side_effects() {
         let mut h = h();
         h.access_data(0);
-        let before = h.l1d_stats();
+        let before = h.clone();
         for _ in 0..10 {
             let _ = h.probe_data(0);
             let _ = h.probe_data(0x9999);
         }
-        assert_eq!(h.l1d_stats(), before);
+        assert!(h.same_state(&before), "a probe changed the caches");
         assert_eq!(h.probe_data(0x9999), HitLevel::Mem);
+        assert_eq!(h.access_data(0), HitLevel::L1);
     }
 
     /// The hierarchy as it walked before the residency index: each

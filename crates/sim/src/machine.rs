@@ -49,8 +49,9 @@ pub enum ExecutionModel {
 }
 
 /// Machine construction parameters. The microarchitecture itself is
-/// fixed: the [`Hierarchy`]'s geometry and policies, a 1024-entry
-/// bimodal [`DirectionPredictor`] and a 512-entry [`Btb`].
+/// fixed: the [`Hierarchy`]'s geometry and policies, a
+/// [`PREDICTOR_ENTRIES`](crate::branch::PREDICTOR_ENTRIES)-entry bimodal
+/// [`DirectionPredictor`] and a 512-entry [`Btb`].
 #[derive(Debug, Clone, Default)]
 pub struct MachineConfig {
     /// Operation latencies.
@@ -343,7 +344,7 @@ impl Machine {
             regs: [0; NUM_REGS],
             mem: Memory::new(),
             hier: Hierarchy::new(),
-            bp: DirectionPredictor::new(1024),
+            bp: DirectionPredictor::default(),
             btb: Btb::new(512),
             contention: Contention::new(),
             noise: NoiseGen::new(cfg.noise.clone(), seed),
@@ -358,11 +359,6 @@ impl Machine {
             lineage: Lineage::default(),
             cfg,
         }
-    }
-
-    /// Shorthand for a default-config machine with the given seed.
-    pub fn with_seed(seed: u64) -> Self {
-        Self::new(MachineConfig::default(), seed)
     }
 
     // ------------------------------------------------------------------

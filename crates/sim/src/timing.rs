@@ -230,7 +230,7 @@ fn spread_of(window_jitter: f64, nominal: u64) -> i64 {
 /// Seeded noise generator owned by a [`crate::machine::Machine`].
 ///
 /// All randomness in the simulator flows through this type so that a machine
-/// constructed with [`crate::machine::Machine::with_seed`] replays identically.
+/// constructed with the same seed replays identically.
 /// Construction turns each probability into an integer threshold and
 /// tabulates the window spreads, so a draw neither converts to `f64` nor
 /// rounds; the draws and their order are those of `gen_bool` and the
@@ -277,11 +277,6 @@ impl NoiseGen {
             cfg,
             rng: StdRng::seed_from_u64(seed),
         }
-    }
-
-    /// The active noise configuration.
-    pub fn config(&self) -> &NoiseConfig {
-        &self.cfg
     }
 
     /// Restarts the RNG stream from `seed`, keeping the configuration.
