@@ -16,15 +16,9 @@
 //! cycle count the round took, of which the output-read delay is the last
 //! addend. `TSX_AND_OR` and `TSX_XOR` are driven through their gate values
 //! and also pin the raw read delay.
-//!
-//! `execute_timed_readings` pins `Skelly::execute_timed` (one raw
-//! execution, no voter) for three gates and four seeds: every reading,
-//! the end cycle count, the trace fingerprint and the instruction counts.
-//! Its values were recorded when the predecode cache and the program
-//! lookup it replaced were both fetch paths, and agreed.
 
 use uwm_core::circuit::{adder32_inputs, adder32_spec};
-use uwm_core::gate::{GateKind, WeirdGate};
+use uwm_core::gate::WeirdGate;
 use uwm_core::layout::Layout;
 use uwm_core::skelly::{GateCounters, Redundancy, Skelly};
 use uwm_core::substrate::DEFAULT_ALIAS_STRIDE;
@@ -303,119 +297,4 @@ fn adder32_plan_readings() {
         (c.threshold(), h.0, m.cycles()),
         (132, 0x33746e79d2f07bd1, 481312)
     );
-}
-
-/// Everything observable about eight `execute_timed` calls of one gate.
-#[derive(Debug, PartialEq, Eq)]
-struct Timed {
-    readings: Vec<(bool, u64)>,
-    cycles: u64,
-    trace: u64,
-    speculative_insts: u64,
-    committed_insts: u64,
-}
-
-/// Runs `kind` through the four two-input combinations twice, in the
-/// order 00, 01, 10, 11, on a fresh default-noise skelly seeded `seed`,
-/// with tracing on.
-fn timed(kind: GateKind, seed: u64) -> Timed {
-    let mut sk = Skelly::new(MachineConfig::default(), seed).expect("skelly builds");
-    sk.machine_mut().tracer_mut().set_enabled(true);
-    let readings = (0..8)
-        .map(|round| {
-            let x = [round & 2 == 2, round & 1 == 1];
-            let r = sk.execute_timed(kind, &x).expect("arity matches");
-            (r.bit, r.delay)
-        })
-        .collect();
-    let stats = sk.machine().stats();
-    Timed {
-        readings,
-        cycles: sk.machine().cycles(),
-        trace: sk.machine().tracer().fingerprint(),
-        speculative_insts: stats.speculative_insts,
-        committed_insts: stats.committed_insts,
-    }
-}
-
-#[test]
-fn execute_timed_readings() {
-    // The bit and the delay of each reading, end cycles, trace
-    // fingerprint, speculative and committed instructions.
-    let want =
-        |bits: [bool; 8], delays: [u64; 8], cycles, trace, speculative_insts, committed_insts| {
-            Timed {
-                readings: bits.into_iter().zip(delays).collect(),
-                cycles,
-                trace,
-                speculative_insts,
-                committed_insts,
-            }
-        };
-    let or_bits = [false, true, true, true, false, true, true, true];
-    let cases = [
-        (
-            GateKind::And,
-            0x5EED,
-            want(
-                [false, false, false, true, false, false, false, true],
-                [233, 230, 232, 36, 233, 233, 231, 37],
-                15894,
-                7304760306378223071,
-                58,
-                80,
-            ),
-        ),
-        (
-            GateKind::TxXor,
-            0x5EED,
-            want(
-                [false, true, true, false, false, true, true, false],
-                [231, 35, 35, 233, 231, 34, 34, 232],
-                18400,
-                17260815781949166834,
-                143,
-                72,
-            ),
-        ),
-        (
-            GateKind::Or,
-            1,
-            want(
-                or_bits,
-                [230, 37, 34, 37, 232, 37, 37, 37],
-                17822,
-                1432274313325739650,
-                142,
-                152,
-            ),
-        ),
-        (
-            GateKind::Or,
-            42,
-            want(
-                or_bits,
-                [233, 35, 34, 36, 233, 34, 36, 35],
-                17823,
-                1432274313325739650,
-                142,
-                152,
-            ),
-        ),
-        (
-            GateKind::Or,
-            0xDEAD,
-            want(
-                or_bits,
-                [233, 37, 37, 34, 232, 35, 34, 36],
-                17783,
-                1432274313325739650,
-                143,
-                152,
-            ),
-        ),
-    ];
-    for (kind, seed, want) in cases {
-        assert_eq!(timed(kind, seed), want, "{kind:?}, seed {seed}");
-    }
 }
